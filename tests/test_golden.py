@@ -1,0 +1,92 @@
+"""Byte-for-byte golden outputs of the command line.
+
+Each case runs one ``gencluster`` command on a small config and compares
+the written report with ``tests/golden/<name>``, ``key_hash`` values
+included.  Any change in rendering, ordering or hashing fails here, so a
+refactor that must keep outputs can be judged by this file alone.
+
+Regenerate (only when an output change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from gencluster.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+A2 = {"b": [[0, 1], [-1, 0]]}
+A3 = {"b": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}
+G2 = {"b": [[0, 1], [-1, 0]], "degrees": [3, 1]}
+# multi-term coefficients: rendered "(3 + w^2)*x1^-1"
+G2_W = {"b": [[0, 1], [-1, 0]], "degrees": [3, 1],
+        "semifield": ["w"], "z": {"1": ["w", "w"]}}
+GEN2 = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1],
+        "semifield": ["w"], "z": {"1": ["w"]}}
+GEN2_COEFF = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1],
+              "semifield": ["u", "v"], "y": ["u", "v^-1"],
+              "z": {"1": ["u*v"]}}
+PRIN_GEN2 = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1], "principal": True}
+PAIR2 = {"left": {"b": [[0, 1], [-1, 0]], "degrees": [2, 1]},
+         "right": {"b": [[0, 1], [-2, 0]]}}
+
+# golden file name -> (config, command line after the config)
+CASES = {
+    "mutate_a2.json": (A2, ["mutate", "--path", "1,2,1"]),
+    "mutate_gen2.json": (GEN2, ["mutate", "--path", "1,2,1,2"]),
+    "mutate_gen2_coeff.json": (GEN2_COEFF, ["mutate", "--path", "1,2,1"]),
+    "mutate_prin_gen2.json": (PRIN_GEN2, ["mutate", "--path", "1,2,1"]),
+    "explore_a3.json": (A3, ["explore", "--depth", "12"]),
+    "explore_a3.dot": (A3, ["explore", "--depth", "12", "--format", "dot"]),
+    "explore_g2.json": (G2, ["explore", "--depth", "12"]),
+    "explore_g2.dot": (G2, ["explore", "--depth", "12", "--format", "dot",
+                            "--dmatrix"]),
+    "explore_g2_w.json": (G2_W, ["explore", "--depth", "12"]),
+    "explore_gen2.json": (GEN2, ["explore", "--depth", "12"]),
+    "explore_gen2.dot": (GEN2, ["explore", "--depth", "12", "--format",
+                                "dot", "--dmatrix"]),
+    "explore_gen2_coeff.json": (GEN2_COEFF, ["explore", "--depth", "12"]),
+    "verify_a3_connected.json": (A3, ["verify", "connected-subgraph",
+                                      "--depth", "12"]),
+    "verify_a3_trichotomy.json": (A3, ["verify", "d-trichotomy",
+                                       "--depth", "12"]),
+    "verify_a3_compatible.json": (A3, ["verify", "compatible-sets",
+                                       "--depth", "12"]),
+    "verify_pair_d_equality.json": (PAIR2, ["verify", "d-equality",
+                                            "--horizon", "5"]),
+}
+
+
+def render(name, workdir):
+    """Run the case's command; return (exit code, bytes written)."""
+    config, argv = CASES[name]
+    cfg = workdir / ("%s.config.json" % name)
+    cfg.write_text(json.dumps(config))
+    out = workdir / name
+    code = main(argv + ["--config", str(cfg), "--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, capsys):
+    code, got = render(name, tmp_path)
+    capsys.readouterr()
+    assert code == 0
+    assert got == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            code, got = render(name, Path(tmp))
+            if code != 0:
+                sys.exit("%s: exit code %d" % (name, code))
+            (GOLDEN / name).write_bytes(got)
+            print("wrote", GOLDEN / name, file=sys.stderr)
