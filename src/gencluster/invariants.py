@@ -158,17 +158,15 @@ def g_vector(principal: PrincipalPattern, seed_var: LaurentPolynomial):
     n = principal.n
     b0 = principal.b0
     deg = None
-    for exps, coeff in seed_var.terms():
-        for cexps, _ in coeff.terms():
-            ypart, _ = principal.split_exponents(cexps)
-            d = [exps[i] - sum(b0.entry(i, j) * ypart[j] for j in range(n))
-                 for i in range(n)]
-            d = tuple(d)
-            if deg is None:
-                deg = d
-            elif deg != d:
-                raise NotHomogeneousError(
-                    "terms of %s have degrees %s and %s" % (seed_var, deg, d))
+    for exps, _ in seed_var.terms():
+        ypart, _ = principal.split_exponents(exps[n:])
+        d = tuple(exps[i] - sum(b0.entry(i, j) * ypart[j] for j in range(n))
+                  for i in range(n))
+        if deg is None:
+            deg = d
+        elif deg != d:
+            raise NotHomogeneousError(
+                "terms of %s have degrees %s and %s" % (seed_var, deg, d))
     if deg is None:
         raise ValueError("zero polynomial has no degree")
     return deg
@@ -187,14 +185,15 @@ def f_polynomial(principal: PrincipalPattern, seed_var: LaurentPolynomial
     would contradict the polynomiality of principal coefficients and
     raises NegativeCoefficientExponentError.
     """
-    total = principal.semifield.group_ring_zero()
-    for _, coeff in seed_var.terms():
-        for cexps, _ in coeff.terms():
-            if any(e < 0 for e in cexps):
-                raise NegativeCoefficientExponentError(
-                    "negative generator exponent in %s" % (coeff,))
-        total = total + coeff
-    return total
+    n = principal.n
+    total = {}
+    for exps, c in seed_var.terms():
+        cexps = exps[n:]
+        if min(cexps) < 0:
+            raise NegativeCoefficientExponentError(
+                "negative generator exponent in %s" % (seed_var,))
+        total[cexps] = total.get(cexps, 0) + c
+    return GroupRingElement(principal.semifield, total)
 
 
 def f_polynomials(principal: PrincipalPattern, seed: Seed):

@@ -1,44 +1,47 @@
 r"""Sparse Laurent polynomials in the cluster variables.
 
 ``LaurentPolynomial`` models elements of ``ZP[x_1^{\pm1}, ..., x_n^{\pm1}]``
-where ZP is the group ring of a tropical semifield (see ``semifield``).
-Terms are stored as a dict from integer exponent tuples to nonzero
-``GroupRingElement`` coefficients.
+where ZP is the group ring of a tropical semifield P on generators
+u_1, ..., u_m (see ``semifield``).  Since ZP = Z[u^{\pm1}], that ring is
+simply the Laurent ring over Z in the n + m variables
+(x_1, ..., x_n, u_1, ..., u_m), and that is how elements are stored: one
+term dict (see ``semifield.add_terms``) from exponent tuples of length
+n + m to nonzero ints.  ``terms()`` and ``nterms()`` therefore see flat
+terms ``c * x^a * u^b``; a coefficient in ZP is a rendering notion only.
 
 Conventions used throughout the package:
 
 * variables are named ``x1 ... xn`` in rendered output;
-* the canonical text rendering lists terms in descending graded-lex
-  order of the x-exponent and is stable, so equal polynomials always
-  render identically (exchange-graph deduplication relies on this);
+* the canonical text rendering groups the terms by x-exponent, lists the
+  groups in descending graded-lex order of the x-exponent and renders a
+  group with several terms as a parenthesized ZP coefficient; it is
+  stable, so equal polynomials always render identically
+  (exchange-graph deduplication relies on this);
 * a denominator vector is a plain tuple ``d`` with
-  ``d[j] = -min_j(exponents)``, so the initial variable ``xj`` itself
+  ``d[j] = -min_j(x-exponents)``, so the initial variable ``xj`` itself
   has ``d = -e_j`` and every variable with no ``xj`` dependence has
   ``d[j] = 0``.
 
-Exact division shifts both operands into the polynomial cone and then
-cancels graded-lex leading terms; the Laurent phenomenon is what makes
-this the workhorse of seed mutation, and ``NotLaurentError`` is the
-honest failure mode.
+Exact division is ``semifield.exact_div_terms`` on the flat terms; the
+Laurent phenomenon is what makes it the workhorse of seed mutation, and
+``NotLaurentError`` is the honest failure mode.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import DimensionError, EvaluationError, NotLaurentError
+from .errors import DimensionError, EvaluationError
 from .semifield import (GroupRingElement, SemifieldElement, TropicalSemifield,
-                        _check_same_semifield, _grlex_key)
+                        _check_same_semifield, _grlex_key, add_terms,
+                        evaluate_terms, exact_div_terms, format_monomial,
+                        format_sum, format_terms, mul_terms)
 
 
-def _coerce_coeff(semifield, c):
-    if isinstance(c, GroupRingElement):
-        return c
-    if isinstance(c, SemifieldElement):
-        return c.as_group_ring()
-    if isinstance(c, int):
-        return GroupRingElement.from_int(semifield, c)
-    raise TypeError("cannot use %r as a coefficient" % (c,))
+@lru_cache(maxsize=None)
+def _xnames(rank):
+    return tuple("x%d" % (j + 1) for j in range(rank))
 
 
 class LaurentPolynomial:
@@ -47,20 +50,46 @@ class LaurentPolynomial:
     __slots__ = ("rank", "semifield", "_terms", "_hash")
 
     def __init__(self, rank: int, semifield: TropicalSemifield, terms: dict):
-        self.rank = int(rank)
-        self.semifield = semifield
-        clean = {}
+        """Build from a dict {x-exponent tuple: coefficient}.
+
+        A coefficient is an int, a SemifieldElement or a GroupRingElement
+        over ``semifield``; each is checked and flattened into terms here,
+        once.  Ring operations build their results through ``_make``.
+        """
+        rank = int(rank)
+        m = semifield.ngens
+        flat = {}
         for exps, c in terms.items():
             exps = tuple(int(e) for e in exps)
-            if len(exps) != self.rank:
+            if len(exps) != rank:
                 raise DimensionError("x-exponent tuple of wrong length")
-            c = _coerce_coeff(semifield, c)
-            if c.semifield != semifield:
+            if isinstance(c, int):
+                items = [((0,) * m, c)]
+            elif not isinstance(c, (SemifieldElement, GroupRingElement)):
+                raise TypeError("cannot use %r as a coefficient" % (c,))
+            elif c.semifield != semifield:
                 raise DimensionError("coefficient over the wrong semifield")
-            if not c.is_zero():
-                clean[exps] = c
-        self._terms = clean
+            elif isinstance(c, SemifieldElement):
+                items = [(c.exponents, 1)]
+            else:
+                items = c.terms()
+            for uexps, k in items:
+                if k:
+                    flat[exps + uexps] = int(k)
+        self.rank = rank
+        self.semifield = semifield
+        self._terms = flat
         self._hash = None
+
+    @classmethod
+    def _make(cls, rank, semifield, terms):
+        """Wrap a flat term dict that is already clean (ring-op results)."""
+        self = object.__new__(cls)
+        self.rank = rank
+        self.semifield = semifield
+        self._terms = terms
+        self._hash = None
+        return self
 
     # ---- constructors ----
 
@@ -89,105 +118,82 @@ class LaurentPolynomial:
     # ---- inspection ----
 
     def terms(self):
+        """Flat (exponents, int) pairs; exponents are the x-exponents
+        followed by the semifield-generator exponents."""
         return self._terms.items()
 
     def nterms(self):
+        """Number of flat terms c * x^a * u^b."""
         return len(self._terms)
 
     def is_zero(self):
         return not self._terms
 
     def is_one(self):
-        return (len(self._terms) == 1
-                and self._terms.get((0,) * self.rank, None) is not None
-                and self._terms[(0,) * self.rank].is_one())
+        return self._terms == {(0,) * (self.rank + self.semifield.ngens): 1}
 
     def is_monomial(self):
+        """True for a single flat term c * x^a * u^b."""
         return len(self._terms) == 1
-
-    def coefficient(self, exps) -> GroupRingElement:
-        return self._terms.get(tuple(exps), self.semifield.group_ring_zero())
 
     # ---- ring operations ----
 
-    def _like(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            raise TypeError("expected a LaurentPolynomial")
-        if other.rank != self.rank:
-            raise DimensionError("mixed ranks: %d vs %d" % (self.rank, other.rank))
-        _check_same_semifield(self, other)
+    def _operand(self, other):
+        """Flat terms of a ring or coefficient operand, else None."""
+        if isinstance(other, LaurentPolynomial):
+            if other.rank != self.rank:
+                raise DimensionError("mixed ranks: %d vs %d" % (self.rank, other.rank))
+            _check_same_semifield(self, other)
+            return other._terms
+        if isinstance(other, (int, GroupRingElement, SemifieldElement)):
+            return LaurentPolynomial.constant(self.rank, self.semifield, other)._terms
+        return None
+
+    def _result(self, terms):
+        return LaurentPolynomial._make(self.rank, self.semifield, terms)
 
     def __add__(self, other):
-        if isinstance(other, (int, GroupRingElement, SemifieldElement)):
-            other = LaurentPolynomial.constant(self.rank, self.semifield, other)
-        if not isinstance(other, LaurentPolynomial):
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        self._like(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPolynomial(self.rank, self.semifield, out)
+        return self._result(add_terms(self._terms, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(self.rank, self.semifield,
-                                 {e: -c for e, c in self._terms.items()})
+        return self._result({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, GroupRingElement, SemifieldElement)):
-            other = LaurentPolynomial.constant(self.rank, self.semifield, other)
-        if not isinstance(other, LaurentPolynomial):
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return self + (-other)
+        return self._result(add_terms(self._terms, {e: -c for e, c in b.items()}))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, GroupRingElement, SemifieldElement)):
-            return self.scalar_mul(other)
-        if not isinstance(other, LaurentPolynomial):
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        self._like(other)
-        out = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key)
-                prod = ca * cb
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return LaurentPolynomial(self.rank, self.semifield, out)
+        return self._result(mul_terms(self._terms, b))
 
     __rmul__ = __mul__
 
     def scalar_mul(self, c):
-        c = _coerce_coeff(self.semifield, c)
-        if c.is_zero():
-            return LaurentPolynomial.zero(self.rank, self.semifield)
-        return LaurentPolynomial(self.rank, self.semifield,
-                                 {e: co * c for e, co in self._terms.items()})
+        """Multiply by an int, SemifieldElement or GroupRingElement."""
+        c = LaurentPolynomial.constant(self.rank, self.semifield, c)
+        return self._result(mul_terms(self._terms, c._terms))
 
     def __pow__(self, n: int):
         n = int(n)
         if n < 0:
-            if not self.is_monomial():
+            if len(self._terms) != 1:
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
             (exps, c), = self._terms.items()
-            if not c.is_monomial():
+            if c != 1:
                 raise ValueError("negative power needs an invertible coefficient")
-            return LaurentPolynomial(
-                self.rank, self.semifield,
-                {tuple(e * n for e in exps): c.monomial_part() ** n})
+            return self._result({tuple(e * n for e in exps): 1})
         result = LaurentPolynomial.one(self.rank, self.semifield)
         base = self
         while n:
@@ -204,56 +210,13 @@ class LaurentPolynomial:
         """Exact quotient self/den in the Laurent ring.
 
         Raises NotLaurentError when the quotient is not a Laurent
-        polynomial over ZP (nonzero remainder, a non-dividing leading
-        monomial, or a coefficient that fails to divide in ZP).
+        polynomial over ZP, i.e. on any remainder.
         """
-        self._like(den)
+        if not isinstance(den, LaurentPolynomial):
+            raise TypeError("expected a LaurentPolynomial")
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
-        if len(den._terms) == 1:
-            (dexp, dc), = den._terms.items()
-            out = {}
-            for e, c in self._terms.items():
-                out[tuple(x - y for x, y in zip(e, dexp))] = c.exact_div(dc)
-            return LaurentPolynomial(self.rank, self.semifield, out)
-
-        n = self.rank
-        num_min = [min(e[j] for e in self._terms) for j in range(n)]
-        den_min = [min(e[j] for e in den._terms) for j in range(n)]
-        shift_den = tuple(max(0, -dm) for dm in den_min)
-        shift_q = tuple(max(0, dm - nm) for nm, dm in zip(num_min, den_min))
-        shift_num = tuple(sq + sd for sq, sd in zip(shift_q, shift_den))
-
-        work = {tuple(x + s for x, s in zip(e, shift_num)): c
-                for e, c in self._terms.items()}
-        dterms = {tuple(x + s for x, s in zip(e, shift_den)): c
-                  for e, c in den._terms.items()}
-        dlead = max(dterms, key=_grlex_key)
-        dlc = dterms[dlead]
-
-        quot = {}
-        while work:
-            lead = max(work, key=_grlex_key)
-            qexp = tuple(a - b for a, b in zip(lead, dlead))
-            if any(e < 0 for e in qexp):
-                raise NotLaurentError("leading x-monomial does not divide")
-            qc = work[lead].exact_div(dlc)
-            prev = quot.get(qexp)
-            quot[qexp] = qc if prev is None else prev + qc
-            for de, dc in dterms.items():
-                key = tuple(a + b for a, b in zip(qexp, de))
-                s = work.get(key)
-                sub = qc * dc
-                s = -sub if s is None else s - sub
-                if s.is_zero():
-                    work.pop(key, None)
-                else:
-                    work[key] = s
-        return LaurentPolynomial(
-            self.rank, self.semifield,
-            {tuple(a - s for a, s in zip(e, shift_q)): c for e, c in quot.items()})
+        return self._result(exact_div_terms(self._terms, self._operand(den)))
 
     def __truediv__(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -265,7 +228,7 @@ class LaurentPolynomial:
     # ---- cluster-specific helpers ----
 
     def denominator_vector(self):
-        """d[j] = -min_j over the exponents of the nonzero terms."""
+        """d[j] = -min_j over the x-exponents of the nonzero terms."""
         if self.is_zero():
             raise ValueError("zero polynomial has no denominator vector")
         return tuple(-min(e[j] for e in self._terms) for j in range(self.rank))
@@ -276,34 +239,23 @@ class LaurentPolynomial:
             raise IndexError("variable index out of range")
         out = {}
         for e, c in self._terms.items():
-            if e[i] == 0:
-                continue
-            key = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-            out[key] = c * e[i]
-        return LaurentPolynomial(self.rank, self.semifield, out)
+            if e[i]:
+                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+        return self._result(out)
 
     def evaluate(self, x_point, semifield_point=()) -> Fraction:
         """Exact evaluation at rational points; x coordinates must be nonzero."""
         xs = [Fraction(v) for v in x_point]
         if len(xs) != self.rank:
             raise DimensionError("x point has wrong length")
-        for v in xs:
-            if v == 0:
-                raise EvaluationError("zero x-coordinate")
+        if any(v == 0 for v in xs):
+            raise EvaluationError("zero x-coordinate")
         ps = [Fraction(v) for v in semifield_point]
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            term = c.evaluate(ps)
-            for v, k in zip(xs, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
+        if len(ps) != self.semifield.ngens:
+            raise DimensionError("point has wrong length")
+        return evaluate_terms(self._terms, xs + ps)
 
-    # ---- ordering, equality, rendering ----
-
-    def sort_key(self):
-        return tuple(sorted((e, c.sort_key()) for e, c in self._terms.items()))
+    # ---- equality, rendering ----
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -316,45 +268,34 @@ class LaurentPolynomial:
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.rank, self.semifield.generators,
-                               frozenset((e, c) for e, c in self._terms.items())))
+                               frozenset(self._terms.items())))
         return self._hash
 
-    def _xpart(self, exps):
-        parts = []
-        for j, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = "x%d" % (j + 1)
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts)
-
     def __str__(self):
-        if not self._terms:
-            return "0"
+        n = self.rank
+        xnames, unames = _xnames(n), self.semifield.generators
+        groups = {}
+        for exps, c in self._terms.items():
+            groups.setdefault(exps[:n], []).append((exps[n:], c))
         pieces = []
-        for exps in sorted(self._terms, key=_grlex_key, reverse=True):
-            c = self._terms[exps]
-            xs = self._xpart(exps)
-            if c.nterms() > 1:
-                body = "(%s)" % (str(c),)
-                body = body + "*" + xs if xs else body
-                pieces.append(("+", body))
+        for xexps in sorted(groups, key=_grlex_key, reverse=True):
+            xs = format_monomial(xnames, xexps)
+            group = groups[xexps]
+            if len(group) > 1:
+                body = "(%s)" % (format_terms(unames, sorted(group)),)
+                pieces.append((False, body + "*" + xs if xs else body))
                 continue
-            (ge, gc), = c.terms()
-            mono = str(SemifieldElement(self.semifield, ge))
+            (uexps, c), = group
+            mono = format_monomial(unames, uexps)
             factors = []
-            if abs(gc) != 1 or (mono == "1" and not xs):
-                factors.append(str(abs(gc)))
-            if mono != "1":
+            if abs(c) != 1 or not (mono or xs):
+                factors.append(str(abs(c)))
+            if mono:
                 factors.append(mono)
             if xs:
                 factors.append(xs)
-            pieces.append(("-" if gc < 0 else "+", "*".join(factors)))
-        sign0, body0 = pieces[0]
-        out = ("-" + body0) if sign0 == "-" else body0
-        for sign, body in pieces[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+            pieces.append((c < 0, "*".join(factors)))
+        return format_sum(pieces)
 
     def __repr__(self):
         return "LaurentPolynomial(%s)" % (str(self),)

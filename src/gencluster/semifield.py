@@ -12,6 +12,14 @@ integer vector.  ZP is an integral domain, and every element of P is an
 invertible monomial of ZP, which is what keeps exchange-relation
 denominators harmless.
 
+ZP is the Laurent ring Z[u_1^{\pm1}, ..., u_m^{\pm1}], and the ring
+ZP[x^{\pm1}] of cluster variables is the Laurent ring over Z in the x and
+u variables together.  So this module also holds the one implementation
+of sparse Laurent arithmetic over Z (``add_terms``, ``mul_terms``,
+``exact_div_terms`` on dicts from exponent tuples to nonzero ints) and
+of the monomial rendering; ``GroupRingElement`` and ``laurent``'s
+``LaurentPolynomial`` are thin typed wrappers around them.
+
 Everything here is exact: exponents and coefficients are Python ints,
 numeric evaluation returns ``fractions.Fraction``.
 """
@@ -19,6 +27,7 @@ numeric evaluation returns ``fractions.Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import DimensionError, EvaluationError, NotLaurentError
 
@@ -169,9 +178,6 @@ class SemifieldElement:
             out *= v ** e
         return out
 
-    def sort_key(self):
-        return self.exponents
-
     def __eq__(self, other):
         return (isinstance(other, SemifieldElement)
                 and self.semifield == other.semifield
@@ -181,23 +187,10 @@ class SemifieldElement:
         return hash((self.semifield.generators, self.exponents))
 
     def __str__(self):
-        parts = []
-        for name, e in zip(self.semifield.generators, self.exponents):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts) if parts else "1"
+        return format_monomial(self.semifield.generators, self.exponents) or "1"
 
     def __repr__(self):
         return "SemifieldElement(%s)" % (str(self),)
-
-
-def trop_mul(a: SemifieldElement, b: SemifieldElement) -> SemifieldElement:
-    return a * b
-
-
-def trop_add(a: SemifieldElement, b: SemifieldElement) -> SemifieldElement:
-    return a.tropical_add(b)
 
 
 def eval_poly_tropical(coeffs, arg: SemifieldElement) -> SemifieldElement:
@@ -219,16 +212,167 @@ def eval_poly_tropical(coeffs, arg: SemifieldElement) -> SemifieldElement:
     return acc
 
 
+# ---- sparse arithmetic over Z on term dicts ----
+#
+# A term dict maps exponent tuples (all of one length, entries any
+# integers) to nonzero ints: an element of the Laurent ring
+# Z[t_1^{+-1}, ..., t_k^{+-1}].  GroupRingElement (t = u) and
+# LaurentPolynomial (t = x, u) both keep their elements this way and do
+# all their arithmetic through the three functions below.
+
+
+def add_terms(a: dict, b: dict) -> dict:
+    """a + b."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    """a * b."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # a monomial shift is injective: no term can cancel
+        (eb, cb), = b.items()
+        return {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}
+    out = {}
+    get = out.get
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            key = tuple(map(add, ea, eb))
+            s = get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
 def _grlex_key(exps):
     # graded lexicographic: total degree first, ties broken lexicographically
     return (sum(exps), exps)
 
 
+def exact_div_terms(num: dict, den: dict) -> dict:
+    """The quotient num / den; raises NotLaurentError on any remainder.
+
+    Both operands are first shifted into the polynomial cone, the divisor
+    by its own minimal exponents and the dividend by enough more that the
+    quotient (whose minimal exponent in each variable is the difference
+    of the operands' minima) is a polynomial too.  Graded-lex leading
+    terms must then divide at every step.
+    """
+    if not den:
+        raise ZeroDivisionError("division by zero")
+    if not num:
+        return {}
+    if len(den) == 1:
+        (dexp, dc), = den.items()
+        out = {}
+        for e, c in num.items():
+            q, r = divmod(c, dc)
+            if r:
+                raise NotLaurentError("coefficient %d not divisible by %d" % (c, dc))
+            out[tuple(map(sub, e, dexp))] = q
+        return out
+
+    num_min = [min(col) for col in zip(*num)]
+    den_min = [min(col) for col in zip(*den)]
+    shift_den = tuple(max(0, -dm) for dm in den_min)
+    shift_q = tuple(max(0, dm - nm) for nm, dm in zip(num_min, den_min))
+    shift_num = tuple(map(add, shift_q, shift_den))
+
+    work = {tuple(map(add, e, shift_num)): c for e, c in num.items()}
+    dterms = {tuple(map(add, e, shift_den)): c for e, c in den.items()}
+    dlead = max(dterms, key=_grlex_key)
+    dlc = dterms[dlead]
+    rest = [(e, c) for e, c in dterms.items() if e != dlead]
+
+    quot = {}
+    get = work.get
+    while work:
+        lead = max(work, key=_grlex_key)
+        qexp = tuple(map(sub, lead, dlead))
+        if min(qexp) < 0:
+            raise NotLaurentError("leading monomial does not divide")
+        qc, r = divmod(work.pop(lead), dlc)
+        if r:
+            raise NotLaurentError("leading coefficient does not divide")
+        quot[qexp] = qc
+        for de, dc in rest:
+            key = tuple(map(add, qexp, de))
+            s = get(key, 0) - qc * dc
+            if s:
+                work[key] = s
+            else:
+                del work[key]
+    return {tuple(map(sub, e, shift_q)): c for e, c in quot.items()}
+
+
+def evaluate_terms(terms: dict, vals) -> Fraction:
+    """Exact value of a term dict at the rational point ``vals``."""
+    total = Fraction(0)
+    for exps, c in terms.items():
+        term = Fraction(c)
+        for v, e in zip(vals, exps):
+            if e:
+                if v == 0:
+                    raise EvaluationError(
+                        "zero value for a generator with nonzero exponent")
+                term *= v ** e
+        total += term
+    return total
+
+
+# ---- rendering ----
+
+
+def format_monomial(names, exps) -> str:
+    """``y1^2*z1_1`` for the nonzero exponents; "" for the empty monomial."""
+    return "*".join(name if e == 1 else "%s^%d" % (name, e)
+                    for name, e in zip(names, exps) if e)
+
+
+def format_sum(pieces) -> str:
+    """Join (negative, body) pieces as ``a + b - c``; "0" when empty."""
+    if not pieces:
+        return "0"
+    neg, body = pieces[0]
+    out = ["-" + body if neg else body]
+    for neg, body in pieces[1:]:
+        out.append(" - " if neg else " + ")
+        out.append(body)
+    return "".join(out)
+
+
+def format_terms(names, items) -> str:
+    """Render (exponents, int) pairs in the order given: ``1 - 2*u*v^-1``."""
+    pieces = []
+    for exps, c in items:
+        mono = format_monomial(names, exps)
+        a = abs(c)
+        if not mono:
+            body = str(a)
+        elif a == 1:
+            body = mono
+        else:
+            body = "%d*%s" % (a, mono)
+        pieces.append((c < 0, body))
+    return format_sum(pieces)
+
+
 class GroupRingElement:
     """An element of ZP: a finite sum ``sum_a c_a * u^a`` with integer c_a.
 
-    Internally a dict mapping exponent tuples to nonzero ints.  Treated
-    as immutable; all arithmetic returns fresh objects.
+    Internally a term dict (see ``add_terms``) from exponent tuples to
+    nonzero ints.  Treated as immutable; all arithmetic returns fresh
+    objects.
 
     Example::
 
@@ -241,7 +385,6 @@ class GroupRingElement:
     __slots__ = ("semifield", "_terms", "_hash")
 
     def __init__(self, semifield: TropicalSemifield, terms: dict):
-        self.semifield = semifield
         clean = {}
         m = semifield.ngens
         for exps, c in terms.items():
@@ -252,14 +395,31 @@ class GroupRingElement:
             if len(exps) != m:
                 raise DimensionError("exponent tuple of wrong length")
             clean[exps] = c
+        self.semifield = semifield
         self._terms = clean
         self._hash = None
 
     @classmethod
+    def _make(cls, semifield, terms):
+        """Wrap a term dict that is already clean (ring-op results)."""
+        self = object.__new__(cls)
+        self.semifield = semifield
+        self._terms = terms
+        self._hash = None
+        return self
+
+    @classmethod
     def from_int(cls, semifield: TropicalSemifield, n: int) -> "GroupRingElement":
-        if n == 0:
-            return cls(semifield, {})
-        return cls(semifield, {(0,) * semifield.ngens: int(n)})
+        return cls(semifield, {(0,) * semifield.ngens: n})
+
+    def _operand(self, other):
+        """Term dict of an int or GroupRingElement operand, else None."""
+        if isinstance(other, int):
+            return {(0,) * self.semifield.ngens: other} if other else {}
+        if isinstance(other, GroupRingElement):
+            _check_same_semifield(self, other)
+            return other._terms
+        return None
 
     def terms(self):
         """Iterate (exponent tuple, integer coefficient) pairs."""
@@ -285,30 +445,19 @@ class GroupRingElement:
         return SemifieldElement(self.semifield, exps)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.from_int(self.semifield, other)
-        if not isinstance(other, GroupRingElement):
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        _check_same_semifield(self, other)
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            s = out.get(exps, 0) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return GroupRingElement(self.semifield, out)
+        return GroupRingElement._make(self.semifield, add_terms(self._terms, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElement(self.semifield,
-                                {e: -c for e, c in self._terms.items()})
+        return GroupRingElement._make(self.semifield,
+                                      {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.from_int(self.semifield, other)
-        if not isinstance(other, GroupRingElement):
+        if self._operand(other) is None:
             return NotImplemented
         return self + (-other)
 
@@ -316,36 +465,18 @@ class GroupRingElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return GroupRingElement(self.semifield, {})
-            return GroupRingElement(self.semifield,
-                                    {e: c * other for e, c in self._terms.items()})
         if isinstance(other, SemifieldElement):
-            return self.mul_monomial(other)
-        if not isinstance(other, GroupRingElement):
+            other = other.as_group_ring()
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        _check_same_semifield(self, other)
-        out = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return GroupRingElement(self.semifield, out)
+        return GroupRingElement._make(self.semifield, mul_terms(self._terms, b))
 
     __rmul__ = __mul__
 
     def mul_monomial(self, mono: SemifieldElement) -> "GroupRingElement":
         """Multiply by a unit u^a of P: shift every exponent vector by a."""
-        _check_same_semifield(self, mono)
-        a = mono.exponents
-        return GroupRingElement(
-            self.semifield,
-            {tuple(x + y for x, y in zip(e, a)): c for e, c in self._terms.items()})
+        return self * mono
 
     def __pow__(self, n: int):
         n = int(n)
@@ -362,87 +493,21 @@ class GroupRingElement:
             n >>= 1
         return result
 
-    def exact_div(self, den: "GroupRingElement") -> "GroupRingElement":
-        """Exact division in ZP; raises NotLaurentError on any remainder.
-
-        ZP is graded by the (Laurent) monomials, so when the quotient
-        exists the graded-lex leading terms must divide at every step.
-        """
+    def exact_div(self, den) -> "GroupRingElement":
+        """Exact division in ZP; raises NotLaurentError on any remainder."""
         if isinstance(den, SemifieldElement):
-            return self.mul_monomial(den.inverse())
+            return self * den.inverse()
+        if not isinstance(den, GroupRingElement):
+            raise TypeError("cannot divide by %r" % (den,))
         _check_same_semifield(self, den)
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero in the group ring")
-        if self.is_zero():
-            return self
-        if len(den._terms) == 1:
-            (dexp, dc), = den._terms.items()
-            out = {}
-            for e, c in self._terms.items():
-                q, r = divmod(c, dc)
-                if r:
-                    raise NotLaurentError(
-                        "coefficient %d not divisible by %d" % (c, dc))
-                out[tuple(x - y for x, y in zip(e, dexp))] = q
-            return GroupRingElement(self.semifield, out)
-
-        m = self.semifield.ngens
-        num_min = [min(e[j] for e in self._terms) for j in range(m)]
-        den_min = [min(e[j] for e in den._terms) for j in range(m)]
-        shift_den = tuple(max(0, -dm) for dm in den_min)
-        # shift the quotient into the polynomial cone as well
-        shift_q = tuple(max(0, dm - nm) for nm, dm in zip(num_min, den_min))
-        shift_num = tuple(sq + sd for sq, sd in zip(shift_q, shift_den))
-
-        work = {tuple(x + s for x, s in zip(e, shift_num)): c
-                for e, c in self._terms.items()}
-        dterms = {tuple(x + s for x, s in zip(e, shift_den)): c
-                  for e, c in den._terms.items()}
-        dlead = max(dterms, key=_grlex_key)
-        dlc = dterms[dlead]
-
-        quot = {}
-        while work:
-            lead = max(work, key=_grlex_key)
-            qexp = tuple(a - b for a, b in zip(lead, dlead))
-            if any(e < 0 for e in qexp):
-                raise NotLaurentError("leading monomial does not divide")
-            qc, r = divmod(work[lead], dlc)
-            if r:
-                raise NotLaurentError("leading coefficient does not divide")
-            quot[qexp] = quot.get(qexp, 0) + qc
-            for de, dc in dterms.items():
-                key = tuple(a + b for a, b in zip(qexp, de))
-                s = work.get(key, 0) - qc * dc
-                if s:
-                    work[key] = s
-                else:
-                    work.pop(key, None)
-        return GroupRingElement(
-            self.semifield,
-            {tuple(a - s for a, s in zip(e, shift_q)): c for e, c in quot.items()})
-
-    def min_exponent(self, j: int) -> int:
-        if not self._terms:
-            raise ValueError("zero element has no exponents")
-        return min(e[j] for e in self._terms)
+        return GroupRingElement._make(self.semifield,
+                                      exact_div_terms(self._terms, den._terms))
 
     def evaluate(self, point) -> Fraction:
         vals = [Fraction(v) for v in point]
         if len(vals) != self.semifield.ngens:
             raise DimensionError("point has wrong length")
-        total = Fraction(0)
-        for exps, c in self._terms.items():
-            term = Fraction(c)
-            for v, e in zip(vals, exps):
-                if e and v == 0:
-                    raise EvaluationError("zero value for a generator with nonzero exponent")
-                term *= v ** e
-            total += term
-        return total
-
-    def sort_key(self):
-        return tuple(sorted(self._terms.items()))
+        return evaluate_terms(self._terms, vals)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -458,30 +523,8 @@ class GroupRingElement:
         return self._hash
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        names = self.semifield.generators
-        pieces = []
-        for exps in sorted(self._terms):
-            c = self._terms[exps]
-            mono = []
-            for name, e in zip(names, exps):
-                if e == 0:
-                    continue
-                mono.append(name if e == 1 else "%s^%d" % (name, e))
-            mono_s = "*".join(mono)
-            if not mono_s:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono_s
-            else:
-                body = "%d*%s" % (abs(c), mono_s)
-            pieces.append(("-" if c < 0 else "+", body))
-        sign0, body0 = pieces[0]
-        out = ("-" + body0) if sign0 == "-" else body0
-        for sign, body in pieces[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return format_terms(self.semifield.generators, sorted(self._terms.items()))
 
     def __repr__(self):
         return "GroupRingElement(%s)" % (str(self),)
+
