@@ -36,7 +36,8 @@ from .errors import DimensionError, EvaluationError
 from .semifield import (GroupRingElement, SemifieldElement, TropicalSemifield,
                         _check_same_semifield, _grlex_key, add_terms,
                         evaluate_terms, exact_div_terms, format_monomial,
-                        format_sum, format_terms, mul_terms)
+                        format_sum, format_term, format_terms, mul_terms,
+                        power)
 
 
 @lru_cache(maxsize=None)
@@ -194,15 +195,7 @@ class LaurentPolynomial:
             if c != 1:
                 raise ValueError("negative power needs an invertible coefficient")
             return self._result({tuple(e * n for e in exps): 1})
-        result = LaurentPolynomial.one(self.rank, self.semifield)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, LaurentPolynomial.one(self.rank, self.semifield))
 
     # ---- division ----
 
@@ -287,14 +280,8 @@ class LaurentPolynomial:
                 continue
             (uexps, c), = group
             mono = format_monomial(unames, uexps)
-            factors = []
-            if abs(c) != 1 or not (mono or xs):
-                factors.append(str(abs(c)))
-            if mono:
-                factors.append(mono)
-            if xs:
-                factors.append(xs)
-            pieces.append((c < 0, "*".join(factors)))
+            pieces.append(format_term(mono + "*" + xs if mono and xs
+                                      else mono or xs, c))
         return format_sum(pieces)
 
     def __repr__(self):

@@ -315,6 +315,18 @@ def exact_div_terms(num: dict, den: dict) -> dict:
     return {tuple(map(sub, e, shift_q)): c for e, c in quot.items()}
 
 
+def power(base, n: int, one):
+    """base ** n for an int n >= 0 by repeated squaring; ``one`` is the unit."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def evaluate_terms(terms: dict, vals) -> Fraction:
     """Exact value of a term dict at the rational point ``vals``."""
     total = Fraction(0)
@@ -351,20 +363,22 @@ def format_sum(pieces) -> str:
     return "".join(out)
 
 
+def format_term(mono: str, c: int):
+    """The (negative, body) piece of ``c * mono`` for ``format_sum``."""
+    a = abs(c)
+    if not mono:
+        body = str(a)
+    elif a == 1:
+        body = mono
+    else:
+        body = "%d*%s" % (a, mono)
+    return c < 0, body
+
+
 def format_terms(names, items) -> str:
     """Render (exponents, int) pairs in the order given: ``1 - 2*u*v^-1``."""
-    pieces = []
-    for exps, c in items:
-        mono = format_monomial(names, exps)
-        a = abs(c)
-        if not mono:
-            body = str(a)
-        elif a == 1:
-            body = mono
-        else:
-            body = "%d*%s" % (a, mono)
-        pieces.append((c < 0, body))
-    return format_sum(pieces)
+    return format_sum([format_term(format_monomial(names, exps), c)
+                       for exps, c in items])
 
 
 class GroupRingElement:
@@ -474,31 +488,18 @@ class GroupRingElement:
 
     __rmul__ = __mul__
 
-    def mul_monomial(self, mono: SemifieldElement) -> "GroupRingElement":
-        """Multiply by a unit u^a of P: shift every exponent vector by a."""
-        return self * mono
-
     def __pow__(self, n: int):
         n = int(n)
         if n < 0:
             if self.is_monomial():
                 return self.monomial_part().__pow__(n).as_group_ring()
             raise ValueError("negative power of a non-unit group ring element")
-        result = GroupRingElement.from_int(self.semifield, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, GroupRingElement.from_int(self.semifield, 1))
 
     def exact_div(self, den) -> "GroupRingElement":
         """Exact division in ZP; raises NotLaurentError on any remainder."""
         if isinstance(den, SemifieldElement):
             return self * den.inverse()
-        if not isinstance(den, GroupRingElement):
-            raise TypeError("cannot divide by %r" % (den,))
         _check_same_semifield(self, den)
         return GroupRingElement._make(self.semifield,
                                       exact_div_terms(self._terms, den._terms))
