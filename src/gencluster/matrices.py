@@ -8,7 +8,6 @@ dependency, and exactness is non-negotiable.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 
 def freeze(rows):
@@ -45,19 +44,21 @@ def is_skew_symmetric(a):
 
 
 def det(a):
-    """Exact determinant by signed permutation expansion (fine for n <= 5)."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # count inversions for the parity
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        prod = Fraction(1)
-        for i in range(n):
-            prod *= Fraction(a[i][perm[i]])
-        total += sign * prod
-    return total
+    """Exact determinant by Fraction Gaussian elimination, O(n^3)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    out = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            out = -out
+        pivot = m[k][k]
+        out *= pivot
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return out
