@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .errors import InconsistentDegreeTransportError, UnknownVariableError
 from .invariants import d_matrix_by_recurrence, d_matrix_from_laurent
-from .laurent import LaurentPolynomial
 from .seeds import ClusterPattern, MutationPair, Seed, mutate_seed
 
 
@@ -108,15 +107,6 @@ class ExchangeGraph:
 
     def degree(self, i):
         return sum(1 for (u, v) in self.edges if u == i or v == i)
-
-    def cluster_serials(self, i):
-        return frozenset(str(v) for v in self.vertices[i].reached.x)
-
-    def all_variable_serials(self):
-        out = set()
-        for rec in self.vertices:
-            out.update(str(v) for v in rec.reached.x)
-        return out
 
     def summary(self):
         return "%d vertices, %d edges, %s" % (
@@ -272,60 +262,73 @@ class VerificationReport:
                 "details": self.details}
 
 
-def _serials(graph, J):
-    out = []
-    for item in J:
-        out.append(str(item) if isinstance(item, LaurentPolynomial) else str(item))
-    known = graph.all_variable_serials()
-    for s in out:
-        if s not in known:
-            raise UnknownVariableError(s)
-    return frozenset(out)
+class _Membership:
+    """Which vertices hold which variable (by serialization), plus the
+    adjacency lists; every cluster is rendered once, at construction."""
+
+    def __init__(self, graph: ExchangeGraph):
+        self.nv = graph.vertex_count()
+        self.where = {}
+        for rec in graph.vertices:
+            for v in rec.reached.x:
+                self.where.setdefault(str(v), set()).add(rec.index)
+        self.adj = [set() for _ in range(self.nv)]
+        for (a, b) in graph.edges:
+            self.adj[a].add(b)
+            self.adj[b].add(a)
+
+    def serials(self, J):
+        out = [str(item) for item in J]
+        for s in out:
+            if s not in self.where:
+                raise UnknownVariableError(s)
+        return frozenset(out)
+
+    def hits(self, want):
+        """Sorted indices of the vertices whose clusters contain ``want``."""
+        if not want:
+            return list(range(self.nv))
+        return sorted(set.intersection(*(self.where[s] for s in want)))
+
+    def connected_report(self, want):
+        hits = self.hits(want)
+        connected = True
+        if len(hits) > 1:
+            hitset = set(hits)
+            seen = {hits[0]}
+            stack = [hits[0]]
+            while stack:
+                for w in self.adj[stack.pop()] & hitset:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            connected = len(seen) == len(hits)
+        violations = [] if connected else [{"subset": sorted(want),
+                                            "vertices": hits}]
+        return connected, violations, {"subset": sorted(want), "vertices": hits}
 
 
 def verify_connected_subgraph(graph: ExchangeGraph, J) -> VerificationReport:
     """The vertices whose clusters contain every member of J must induce
     a connected subgraph (membership by canonical serialization)."""
-    want = _serials(graph, J)
-    hits = [i for i in range(graph.vertex_count())
-            if want <= graph.cluster_serials(i)]
-    connected = True
-    if len(hits) > 1:
-        hitset = set(hits)
-        seen = {hits[0]}
-        stack = [hits[0]]
-        while stack:
-            u = stack.pop()
-            for (a, b) in graph.edges:
-                w = None
-                if a == u and b in hitset:
-                    w = b
-                elif b == u and a in hitset:
-                    w = a
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        connected = len(seen) == len(hits)
-    violations = [] if connected else [{"subset": sorted(want),
-                                        "vertices": hits}]
+    index = _Membership(graph)
+    connected, violations, details = index.connected_report(index.serials(J))
     return VerificationReport("connected-subgraph", connected, graph.complete,
-                              1, violations,
-                              {"subset": sorted(want), "vertices": hits})
+                              1, violations, details)
 
 
 def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
     """Run the connectivity check for every subset of every cluster."""
+    index = _Membership(graph)
     subsets = set()
-    for i in range(graph.vertex_count()):
-        cluster = sorted(graph.cluster_serials(i))
+    for rec in graph.vertices:
+        cluster = sorted(str(v) for v in rec.reached.x)
         n = len(cluster)
         for mask in range(1 << n):
             subsets.add(frozenset(cluster[j] for j in range(n) if mask >> j & 1))
     violations = []
     for J in sorted(subsets, key=lambda s: (len(s), sorted(s))):
-        rep = verify_connected_subgraph(graph, J)
-        if not rep.passed:
-            violations.extend(rep.violations)
+        violations.extend(index.connected_report(J)[1])
     return VerificationReport("connected-subgraph", not violations,
                               graph.complete, len(subsets), violations,
                               {"subsets_checked": len(subsets)})
@@ -333,9 +336,8 @@ def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
 
 def compatibility(graph: ExchangeGraph, a, b) -> bool:
     """True when the two variables occur together in some cluster."""
-    want = _serials(graph, [a, b])
-    return any(want <= graph.cluster_serials(i)
-               for i in range(graph.vertex_count()))
+    index = _Membership(graph)
+    return bool(index.hits(index.serials([a, b])))
 
 
 def _value_table(graph: ExchangeGraph):
