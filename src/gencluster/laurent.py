@@ -207,8 +207,6 @@ class LaurentPolynomial:
         """
         if not isinstance(den, LaurentPolynomial):
             raise TypeError("expected a LaurentPolynomial")
-        if den.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
         return self._result(exact_div_terms(self._terms, self._operand(den)))
 
     def __truediv__(self, other):

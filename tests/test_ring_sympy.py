@@ -3,8 +3,8 @@
 Random small elements of ZP[x1^±, x2^±] and of ZP, with P the tropical
 semifield on (u, v), are read through their text rendering into sympy's
 field of rational functions, so these tests also pin that the rendering
-is a faithful expression.
-sympy is only a test oracle; the library itself stays pure stdlib.
+is a faithful expression.  sympy is only a test oracle; the library
+itself stays pure stdlib.
 """
 
 import random
