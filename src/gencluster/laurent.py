@@ -55,7 +55,7 @@ class LaurentPolynomial:
 
         A coefficient is an int, a SemifieldElement or a GroupRingElement
         over ``semifield``; each is checked and flattened into terms here,
-        once.  Ring operations build their results through ``_make``.
+        once.  Ring operations build their results through ``_result``.
         """
         rank = int(rank)
         m = semifield.ngens
@@ -81,16 +81,6 @@ class LaurentPolynomial:
         self.semifield = semifield
         self._terms = flat
         self._hash = None
-
-    @classmethod
-    def _make(cls, rank, semifield, terms):
-        """Wrap a flat term dict that is already clean (ring-op results)."""
-        self = object.__new__(cls)
-        self.rank = rank
-        self.semifield = semifield
-        self._terms = terms
-        self._hash = None
-        return self
 
     # ---- constructors ----
 
@@ -151,7 +141,11 @@ class LaurentPolynomial:
         return None
 
     def _result(self, terms):
-        return LaurentPolynomial._make(self.rank, self.semifield, terms)
+        """Wrap a flat term dict that is already clean (ring-op results)."""
+        out = object.__new__(LaurentPolynomial)
+        out.rank, out.semifield, out._terms, out._hash = (
+            self.rank, self.semifield, terms, None)
+        return out
 
     def __add__(self, other):
         b = self._operand(other)

@@ -413,14 +413,11 @@ class GroupRingElement:
         self._terms = clean
         self._hash = None
 
-    @classmethod
-    def _make(cls, semifield, terms):
+    def _result(self, terms):
         """Wrap a term dict that is already clean (ring-op results)."""
-        self = object.__new__(cls)
-        self.semifield = semifield
-        self._terms = terms
-        self._hash = None
-        return self
+        out = object.__new__(GroupRingElement)
+        out.semifield, out._terms, out._hash = self.semifield, terms, None
+        return out
 
     @classmethod
     def from_int(cls, semifield: TropicalSemifield, n: int) -> "GroupRingElement":
@@ -462,13 +459,12 @@ class GroupRingElement:
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return GroupRingElement._make(self.semifield, add_terms(self._terms, b))
+        return self._result(add_terms(self._terms, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElement._make(self.semifield,
-                                      {e: -c for e, c in self._terms.items()})
+        return self._result({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if self._operand(other) is None:
@@ -484,7 +480,7 @@ class GroupRingElement:
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return GroupRingElement._make(self.semifield, mul_terms(self._terms, b))
+        return self._result(mul_terms(self._terms, b))
 
     __rmul__ = __mul__
 
@@ -501,8 +497,7 @@ class GroupRingElement:
         if isinstance(den, SemifieldElement):
             return self * den.inverse()
         _check_same_semifield(self, den)
-        return GroupRingElement._make(self.semifield,
-                                      exact_div_terms(self._terms, den._terms))
+        return self._result(exact_div_terms(self._terms, den._terms))
 
     def evaluate(self, point) -> Fraction:
         vals = [Fraction(v) for v in point]
