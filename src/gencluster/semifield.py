@@ -237,10 +237,6 @@ def mul_terms(a: dict, b: dict) -> dict:
     """a * b."""
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        # a monomial shift is injective: no term can cancel
-        (eb, cb), = b.items()
-        return {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}
     out = {}
     get = out.get
     for eb, cb in b.items():
