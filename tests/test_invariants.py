@@ -32,16 +32,16 @@ def test_d_recurrence_accepts_bare_matrix(gen2):
 def test_d_recurrence_matches_laurent_on_random_paths(seed):
     # small entries: deep seeds of wild patterns grow out of test scale.
     # With g = min over pairs of b_ij b_ji r_i r_j, terms grow fastest when
-    # g <= -4 (affine or wild rank-2 parts): depth 4 can then take minutes
-    # (seed 913: B=[[0,-2],[2,0]], degrees (2,2)), and at g <= -16 so can
-    # depth 3 (seed 12041).  Paths stop at depth 4, 3 or 2 accordingly.
+    # g <= -4 (affine or wild rank-2 parts), where depth 4 can take minutes
+    # (seed 913: B=[[0,-2],[2,0]], degrees (2,2)); paths stop at depth 3
+    # there and at depth 4 otherwise.
     rng = random.Random(seed)
     pattern = random_pattern(rng, rng.randint(2, 3), max_degree=2,
                              max_entry=1, max_scale=2)
     b, r = pattern.b0, pattern.pair.degrees
     g = min(b.entry(i, j) * b.entry(j, i) * r[i] * r[j]
             for i in range(pattern.n) for j in range(pattern.n))
-    cap = 4 if g > -4 else 3 if g > -16 else 2
+    cap = 4 if g > -4 else 3
     path = tuple(rng.randrange(pattern.n) for _ in range(rng.randint(0, cap)))
     got = d_matrix_by_recurrence(pattern, path)
     assert got == d_matrix_from_laurent(pattern.seed_at(path))
