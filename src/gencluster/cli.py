@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks passed (or command succeeded), 1 a verifier
 found violations, 2 the command could not run (usage, config, or a
-check that needs a completed exploration on an unfinished one).
+check that needs a completed exploration on an unfinished one), 3 an
+internal error of the engine (a canonical key collision or a failed
+degree transport), which is never a verdict on the input.
 
 All directions, paths and matrix indices in configs, flags and reports
 are 1-based; see the library docstrings for the 0-based API.
@@ -17,7 +19,7 @@ import sys
 from .config import (pair_from_config, parse_path, pattern_from_config,
                      seed_dump)
 from .correspondence import verify_d_equality, verify_identification
-from .errors import GenClusterError
+from .errors import GenClusterError, InconsistentDegreeTransportError
 from .graph import (explore, verify_all_connected_subgraphs,
                     verify_compatible_sets, verify_connected_subgraph,
                     verify_dvector_trichotomy, verify_initial_cluster_recovery)
@@ -55,10 +57,15 @@ def _explore_from_args(pattern, args):
                    vertex_limit=args.max_vertices)
 
 
+def _payload_exit(payload, passed, out):
+    """Write a check's JSON payload, its status line; exit 0 or 1."""
+    _emit(json.dumps(payload, indent=2) + "\n", out)
+    print("%s: %s" % (payload["check"], payload["status"]), file=sys.stderr)
+    return 0 if passed else 1
+
+
 def _report_exit(report, out):
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", out)
-    print("%s: %s" % (report.name, report.status), file=sys.stderr)
-    return 0 if report.passed else 1
+    return _payload_exit(report.to_json_dict(), report.passed, out)
 
 
 def _cmd_mutate(args):
@@ -111,9 +118,7 @@ def _cmd_verify(args):
                    "checked": report.checked,
                    "determinants": sorted({str(d) for d in report.determinants}),
                    "failures": report.failures}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        print("%s: %s" % (check, payload["status"]), file=sys.stderr)
-        return 0 if report.ok else 1
+        return _payload_exit(payload, report.ok, args.out)
 
     if check == "cg-duality":
         principal = (pattern if isinstance(pattern, PrincipalPattern)
@@ -128,9 +133,7 @@ def _cmd_verify(args):
                    "complete": graph.complete,
                    "seeds_checked": graph.vertex_count(),
                    "violations": violations}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        print("%s: %s" % (check, payload["status"]), file=sys.stderr)
-        return 0 if not violations else 1
+        return _payload_exit(payload, not violations, args.out)
 
     if check == "separation":
         principal = principal_companion(pattern)
@@ -150,9 +153,7 @@ def _cmd_verify(args):
                    "complete": graph.complete,
                    "values_checked": checked,
                    "violations": violations}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        print("%s: %s" % (check, payload["status"]), file=sys.stderr)
-        return 0 if not violations else 1
+        return _payload_exit(payload, not violations, args.out)
 
     graph = _explore_from_args(pattern, args)
     _require_complete(graph, check)
@@ -233,13 +234,10 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except _Usage as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except GenClusterError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (RuntimeError, InconsistentDegreeTransportError) as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return 3
+    except (_Usage, GenClusterError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

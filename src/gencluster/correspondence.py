@@ -17,7 +17,7 @@ from . import matrices as mat
 from .errors import IncompatibleInitialDataError
 from .graph import VerificationReport, canonical_form
 from .invariants import d_matrix_by_recurrence
-from .seeds import ClusterPattern, ExchangeMatrix, mutate_seed
+from .seeds import ClusterPattern, mutate_seed
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,16 @@ agree on.  Every dedup hit re-verifies the full transport on the actual
 seeds and raises InconsistentDegreeTransportError if the degree data
 fails to follow the permutation (that would be an engine bug, not data).
 
-Exploration is a deterministic breadth-first walk (FIFO queue, ascending
-directions) with optional depth and vertex limits; hitting a limit
-yields a graph flagged incomplete whose frontier allows resuming.
+The graph is a transition table: ``succ[v][k] = (w, sigma)`` says that
+mutating vertex v's seed in direction k gives vertex w's seed relabeled
+by sigma (position i of the mutated seed is position sigma[i] at w), and
+``None`` marks a slot not explored yet.  Exploration is a deterministic
+breadth-first walk (FIFO queue, ascending directions) with optional
+depth and vertex limits.  A limit leaves slots empty: the graph is
+complete exactly when every slot is filled, and its frontier is the
+vertices with an empty slot.  Resuming refills exactly the empty slots,
+in the order an uninterrupted walk would have filled them, so a resumed
+graph equals the one explored in one go under the final limits.
 """
 
 from __future__ import annotations
@@ -21,22 +28,24 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import matrices as mat
 from .errors import InconsistentDegreeTransportError, UnknownVariableError
-from .invariants import d_matrix_by_recurrence, d_matrix_from_laurent
+from .invariants import d_matrix_from_laurent, d_recurrence_step
 from .seeds import ClusterPattern, MutationPair, Seed, mutate_seed
 
 
 @dataclass(frozen=True)
 class CanonicalSeed:
-    """A seed with its cluster sorted into rendering order.
+    """The dedup key of a seed, the sort behind it and its renderings.
 
-    ``perm`` maps canonical positions to original indices:
-    ``seed.x[p] == original.x[perm[p]]``.
+    ``perm`` maps canonical positions to original indices, so the
+    canonical cluster is ``x[perm[0]], x[perm[1]], ...``; ``serials``
+    holds ``str(x[i])`` in the seed's own order.
     """
 
     key: str
-    seed: Seed
     perm: tuple
+    serials: tuple
 
 
 def canonical_form(seed: Seed, pair: MutationPair) -> CanonicalSeed:
@@ -47,26 +56,19 @@ def canonical_form(seed: Seed, pair: MutationPair) -> CanonicalSeed:
     produced a broken seed and is a hard error.
     """
     n = seed.n
-    serials = [str(v) for v in seed.x]
+    serials = tuple(str(v) for v in seed.x)
     if len(set(serials)) != n:
         raise RuntimeError("cluster variables of a single seed must be distinct")
-    perm = tuple(sorted(range(n), key=lambda i: serials[i]))
-    xs = tuple(seed.x[i] for i in perm)
-    ys = tuple(seed.y[i] for i in perm)
+    perm = tuple(sorted(range(n), key=serials.__getitem__))
     rows = tuple(tuple(seed.B.rows[i][j] for j in perm) for i in perm)
-    degs = tuple(pair.degrees[i] for i in perm)
-    zser = tuple(tuple(str(z) for z in pair.frozen[i]) for i in perm)
     key = "B=%r;x=%r;y=%r;r=%r;z=%r" % (
         rows,
         tuple(serials[i] for i in perm),
-        tuple(str(c) for c in ys),
-        degs,
-        zser,
+        tuple(str(seed.y[i]) for i in perm),
+        tuple(pair.degrees[i] for i in perm),
+        tuple(tuple(str(z) for z in pair.frozen[i]) for i in perm),
     )
-    # the permuted matrix is skew-symmetrizable iff the original is,
-    # so rebuilding the Seed revalidates nothing surprising
-    from .seeds import ExchangeMatrix
-    return CanonicalSeed(key, Seed(ExchangeMatrix(rows), xs, ys), perm)
+    return CanonicalSeed(key, perm, serials)
 
 
 def key_hash(key: str) -> str:
@@ -86,27 +88,32 @@ class ExchangeGraph:
     pattern: ClusterPattern
     vertices: list = field(default_factory=list)
     key_to_index: dict = field(default_factory=dict)
-    edges: dict = field(default_factory=dict)   # (u, v) sorted -> set of directions
-    complete: bool = False
-    frontier: tuple = ()
+    succ: list = field(default_factory=list)   # succ[v][k] = (w, sigma) or None
+
+    @property
+    def frontier(self):
+        """Vertices with an unexplored direction, in index order."""
+        return tuple(v for v, row in enumerate(self.succ) if None in row)
+
+    @property
+    def complete(self):
+        return not self.frontier
 
     def vertex_count(self):
         return len(self.vertices)
 
+    def _edge_labels(self):
+        """Sorted ((u, v), directions) with u <= v: each edge with every
+        direction realizing it at either endpoint (in its own indexing)."""
+        labels = {}
+        for v, row in enumerate(self.succ):
+            for k, slot in enumerate(row):
+                if slot is not None:
+                    labels.setdefault(tuple(sorted((v, slot[0]))), set()).add(k)
+        return sorted((e, sorted(ks)) for e, ks in labels.items())
+
     def edge_count(self):
-        return len(self.edges)
-
-    def neighbors(self, i):
-        out = set()
-        for (u, v) in self.edges:
-            if u == i:
-                out.add(v)
-            elif v == i:
-                out.add(u)
-        return out
-
-    def degree(self, i):
-        return sum(1 for (u, v) in self.edges if u == i or v == i)
+        return len(self._edge_labels())
 
     def summary(self):
         return "%d vertices, %d edges, %s" % (
@@ -124,10 +131,10 @@ class ExchangeGraph:
                 entry["d_matrix"] = [list(c) for c in
                                      d_matrix_from_laurent(rec.reached)]
             verts.append(entry)
-        edges = [{"u": u, "v": v, "directions": sorted(k + 1 for k in labels)}
-                 for (u, v), labels in sorted(self.edges.items())]
+        edges = [{"u": u, "v": v, "directions": [k + 1 for k in ks]}
+                 for (u, v), ks in self._edge_labels()]
         return {"vertex_count": self.vertex_count(),
-                "edge_count": self.edge_count(),
+                "edge_count": len(edges),
                 "complete": self.complete,
                 "vertices": verts,
                 "edges": edges}
@@ -140,8 +147,8 @@ class ExchangeGraph:
                 d = d_matrix_from_laurent(rec.reached)
                 label += r"\nD=%s" % (str([list(c) for c in d]),)
             lines.append('  v%d [label="%s"];' % (rec.index, label))
-        for (u, v), labels in sorted(self.edges.items()):
-            text = ",".join(str(k + 1) for k in sorted(labels))
+        for (u, v), ks in self._edge_labels():
+            text = ",".join(str(k + 1) for k in ks)
             lines.append('  v%d -- v%d [label="%s"];' % (u, v, text))
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -151,9 +158,9 @@ def _verify_dedup_transport(stored: VertexRecord, new_seed: Seed,
                             new_canon: CanonicalSeed, pair: MutationPair):
     """Re-verify the seed equivalence behind a dedup hit.
 
-    The composed permutation sigma sends index i of the new seed to the
-    index of the stored representative holding the same variable; the
-    whole seed triple and the degree data must follow it.
+    Returns the composed permutation sigma, which sends index i of the
+    new seed to the index of the stored representative holding the same
+    variable; the whole seed triple and the degree data must follow it.
     """
     n = new_seed.n
     perm_s = stored.canon.perm
@@ -174,6 +181,7 @@ def _verify_dedup_transport(stored: VertexRecord, new_seed: Seed,
         for j in range(n):
             if new_seed.B.rows[i][j] != stored.reached.B.rows[sigma[i]][sigma[j]]:
                 raise RuntimeError("canonical key collision: matrices differ")
+    return tuple(sigma)
 
 
 def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
@@ -181,13 +189,14 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
     """Deterministic BFS over seeds up to equivalence.
 
     At least one of depth_limit / vertex_limit must be set (unbounded
-    search diverges on infinite-type patterns).  Pass ``resume`` to keep
-    growing an earlier truncated graph under new limits.
+    search diverges on infinite-type patterns).  Pass ``resume`` to fill
+    the empty slots of an earlier truncated graph under new limits.
     """
     if depth_limit is None and vertex_limit is None:
         raise ValueError("set depth_limit or vertex_limit (or both)")
     pair = pattern.pair
     n = pattern.n
+    identity = tuple(range(n))
 
     g = ExchangeGraph(pattern)
     if resume is not None:
@@ -195,43 +204,40 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
             raise ValueError("resume graph belongs to a different pattern")
         g.vertices = list(resume.vertices)
         g.key_to_index = dict(resume.key_to_index)
-        g.edges = {e: set(l) for e, l in resume.edges.items()}
+        g.succ = [list(row) for row in resume.succ]
         queue = deque(resume.frontier)
     else:
         init = pattern.initial_seed()
         canon = canonical_form(init, pair)
         g.vertices.append(VertexRecord(0, canon, init, ()))
         g.key_to_index[canon.key] = 0
+        g.succ.append([None] * n)
         queue = deque([0])
 
-    truncated = False
-    unexpanded = []
     while queue:
         vi = queue.popleft()
         rec = g.vertices[vi]
         if depth_limit is not None and len(rec.path) >= depth_limit:
-            truncated = True
-            unexpanded.append(vi)
             continue
+        row = g.succ[vi]
         for k in range(n):
+            if row[k] is not None:
+                continue
             new_seed = mutate_seed(rec.reached, pair, k)
             canon = canonical_form(new_seed, pair)
             j = g.key_to_index.get(canon.key)
             if j is None:
                 if vertex_limit is not None and len(g.vertices) >= vertex_limit:
-                    truncated = True
                     continue
                 j = len(g.vertices)
                 g.vertices.append(VertexRecord(j, canon, new_seed, rec.path + (k,)))
                 g.key_to_index[canon.key] = j
+                g.succ.append([None] * n)
                 queue.append(j)
+                sigma = identity
             else:
-                _verify_dedup_transport(g.vertices[j], new_seed, canon, pair)
-            e = (vi, j) if vi <= j else (j, vi)
-            g.edges.setdefault(e, set()).add(k)
-    g.edges = {e: frozenset(l) for e, l in g.edges.items()}
-    g.complete = not truncated
-    g.frontier = tuple(unexpanded)
+                sigma = _verify_dedup_transport(g.vertices[j], new_seed, canon, pair)
+            row[k] = (j, sigma)
     return g
 
 
@@ -263,19 +269,30 @@ class VerificationReport:
 
 
 class _Membership:
-    """Which vertices hold which variable (by serialization), plus the
-    adjacency lists; every cluster is rendered once, at construction."""
+    """The variables of a graph, read off the renderings its canonical
+    forms stored: ids in order of first appearance, the ids at each
+    vertex (``var_at``), the vertices holding each rendering
+    (``where``) and the undirected adjacency of the transition table."""
 
     def __init__(self, graph: ExchangeGraph):
         self.nv = graph.vertex_count()
+        self.ids = {}
         self.where = {}
+        self.var_at = []
         for rec in graph.vertices:
-            for v in rec.reached.x:
-                self.where.setdefault(str(v), set()).add(rec.index)
+            for s in rec.canon.serials:
+                self.where.setdefault(s, set()).add(rec.index)
+            self.var_at.append(tuple(self.ids.setdefault(s, len(self.ids))
+                                     for s in rec.canon.serials))
         self.adj = [set() for _ in range(self.nv)]
-        for (a, b) in graph.edges:
-            self.adj[a].add(b)
-            self.adj[b].add(a)
+        for v, row in enumerate(graph.succ):
+            for w, _ in filter(None, row):
+                self.adj[v].add(w)
+                self.adj[w].add(v)
+
+    def compatible_pairs(self):
+        """Ordered pairs of variable ids that share a cluster."""
+        return {(a, b) for row in self.var_at for a in row for b in row}
 
     def serials(self, J):
         out = [str(item) for item in J]
@@ -322,7 +339,7 @@ def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
     index = _Membership(graph)
     subsets = set()
     for rec in graph.vertices:
-        cluster = sorted(str(v) for v in rec.reached.x)
+        cluster = sorted(rec.canon.serials)
         n = len(cluster)
         for mask in range(1 << n):
             subsets.add(frozenset(cluster[j] for j in range(n) if mask >> j & 1))
@@ -340,25 +357,24 @@ def compatibility(graph: ExchangeGraph, a, b) -> bool:
     return bool(index.hits(index.serials([a, b])))
 
 
-def _value_table(graph: ExchangeGraph):
-    ids = {}
-    var_at = []
-    for rec in graph.vertices:
-        row = []
-        for xv in rec.reached.x:
-            s = str(xv)
-            row.append(ids.setdefault(s, len(ids)))
-        var_at.append(tuple(row))
-    return ids, var_at
-
-
-def _compatible_pairs(var_at):
-    comp = set()
-    for row in var_at:
-        for a in row:
-            for b in row:
-                comp.add((a, b))
-    return comp
+def _d_matrices_from(graph: ExchangeGraph, base: int):
+    """D-matrix of every vertex against the cluster at ``base``: one BFS
+    over the table, one recurrence step per tree edge, each result
+    relabeled into the target vertex's own indexing."""
+    degrees = graph.pattern.pair.degrees
+    D = [None] * graph.vertex_count()
+    D[base] = mat.identity(graph.pattern.n, -1)
+    queue = deque([base])
+    while queue:
+        u = queue.popleft()
+        b = graph.vertices[u].reached.B
+        for k, (w, sigma) in enumerate(graph.succ[u]):
+            if D[w] is None:
+                cols = d_recurrence_step(D[u], b, degrees, k)
+                # column i lands at position sigma[i] of w
+                D[w] = tuple(c for _, c in sorted(zip(sigma, cols)))
+                queue.append(w)
+    return D
 
 
 def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
@@ -368,47 +384,37 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
     compatibility or incompatibility.
 
     Requires a completed exploration (compatibility must be exact).
-    D-vectors against alternative bases come from the integer recurrence
-    run from the base vertex along representative tree paths; the
-    recurrence agrees with the Laurent expansions by the cross-oracle
-    checks, and the root case is re-checked against them here.
+    D-vectors against each base vertex come from the integer recurrence
+    run over a breadth-first tree of the transition table rooted there;
+    from the root that tree is the exploration's own, and those
+    D-matrices are re-checked against the Laurent expansions here.
     """
     if not graph.complete:
         raise ValueError("trichotomy check needs a completed exploration")
-    ids, var_at = _value_table(graph)
-    comp = _compatible_pairs(var_at)
-    degrees = graph.pattern.pair.degrees
+    index = _Membership(graph)
+    var_at = index.var_at
+    comp = index.compatible_pairs()
     nv = graph.vertex_count()
     n = graph.pattern.n
 
     table = {}
     violations = []
-    checked = 0
     for w in range(nv):
-        wrec = graph.vertices[w]
-        back = tuple(reversed(wrec.path))
+        D_from_w = _d_matrices_from(graph, w)
         for v in range(nv):
-            vrec = graph.vertices[v]
-            walk = back + vrec.path
-            D = d_matrix_by_recurrence(wrec.reached.B, walk, degrees)
-            if w == 0:
-                if D != d_matrix_from_laurent(vrec.reached):
-                    violations.append({"kind": "recurrence-vs-laurent",
-                                       "vertex": v})
+            D = D_from_w[v]
+            if w == 0 and D != d_matrix_from_laurent(graph.vertices[v].reached):
+                violations.append({"kind": "recurrence-vs-laurent", "vertex": v})
             for i in range(n):
                 for k in range(n):
                     pair_key = (var_at[v][i], var_at[w][k])
-                    d = D[i][k]
-                    if pair_key in table:
-                        if table[pair_key] != d:
-                            violations.append({"kind": "not-well-defined",
-                                               "pair": pair_key,
-                                               "values": [table[pair_key], d],
-                                               "base_vertex": w,
-                                               "vertex": v})
-                    else:
-                        table[pair_key] = d
-                    checked += 1
+                    first = table.setdefault(pair_key, D[i][k])
+                    if first != D[i][k]:
+                        violations.append({"kind": "not-well-defined",
+                                           "pair": pair_key,
+                                           "values": [first, D[i][k]],
+                                           "base_vertex": w,
+                                           "vertex": v})
     for (a, b), d in sorted(table.items()):
         if a == b:
             ok = d == -1
@@ -420,8 +426,8 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
             violations.append({"kind": "trichotomy", "pair": (a, b), "d": d,
                                "compatible": (a, b) in comp})
     return VerificationReport(
-        "d-trichotomy", not violations, True, checked, violations,
-        {"variables": len(ids), "pairs": len(table)})
+        "d-trichotomy", not violations, True, nv * nv * n * n, violations,
+        {"variables": len(index.ids), "pairs": len(table)})
 
 
 def verify_compatible_sets(graph: ExchangeGraph) -> VerificationReport:
@@ -429,12 +435,12 @@ def verify_compatible_sets(graph: ExchangeGraph) -> VerificationReport:
     and the maximal compatible sets are exactly the clusters."""
     if not graph.complete:
         raise ValueError("compatible-set check needs a completed exploration")
-    ids, var_at = _value_table(graph)
-    nval = len(ids)
+    index = _Membership(graph)
+    nval = len(index.ids)
     if nval > 20:
         raise ValueError("too many variables for subset enumeration (%d)" % nval)
-    comp = _compatible_pairs(var_at)
-    clusters = {frozenset(row) for row in var_at}
+    comp = index.compatible_pairs()
+    clusters = {frozenset(row) for row in index.var_at}
 
     violations = []
     compatible_count = 0

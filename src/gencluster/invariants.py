@@ -26,53 +26,49 @@ from .errors import (DimensionError, EvaluationError,
 from .laurent import LaurentPolynomial
 from .seeds import (ClusterPattern, ExchangeMatrix, MutationPair, Seed,
                     coefficient_walk, mutate_matrix)
-from .semifield import GroupRingElement, SemifieldElement, TropicalSemifield
+from .semifield import GroupRingElement, TropicalSemifield
 
 
-def _pos(v):
-    return v if v > 0 else 0
+def d_recurrence_step(cols, b: ExchangeMatrix, degrees, k):
+    """One step of the denominator recurrence: mutate in direction k.
 
-
-def d_matrix_by_recurrence(pattern_or_b, path, degrees=None):
-    """D-matrix of the seed at ``path`` via the integer recurrence.
-
-    Starting from D = -I at the base vertex, mutation in direction k
-    fixes every column but the k-th and replaces it by
+    ``cols`` are the D-matrix columns at a seed with exchange matrix
+    ``b``.  Every column but the k-th is kept; the k-th becomes
 
         d_k' = -d_k + max(sum_{b_{lk} > 0} d_l b_{lk} r_k,
                           sum_{b_{lk} < 0} -d_l b_{lk} r_k)
 
-    with the componentwise maximum and B the matrix at the vertex being
-    left.  Pure integer arithmetic; no cluster expansion involved.
-    Returns a tuple of n column tuples.
+    with the componentwise maximum.  Returns the new column tuple.
     """
-    if isinstance(pattern_or_b, ClusterPattern):
-        b = pattern_or_b.b0
-        degrees = pattern_or_b.pair.degrees
-    else:
-        b = pattern_or_b
-        if degrees is None:
-            raise ValueError("degrees required when passing a bare matrix")
-        degrees = tuple(degrees)
     n = b.n
-    cols = [[-1 if i == j else 0 for i in range(n)] for j in range(n)]
+    rk = degrees[k]
+    pos_sum = [0] * n
+    neg_sum = [0] * n
+    for l in range(n):
+        w = b.rows[l][k] * rk
+        if w > 0:
+            for i in range(n):
+                pos_sum[i] += cols[l][i] * w
+        elif w < 0:
+            for i in range(n):
+                neg_sum[i] -= cols[l][i] * w
+    new_k = tuple(-cols[k][i] + max(pos_sum[i], neg_sum[i]) for i in range(n))
+    return cols[:k] + (new_k,) + cols[k + 1:]
+
+
+def d_matrix_by_recurrence(pattern: ClusterPattern, path):
+    """D-matrix of the seed at ``path`` via the integer recurrence.
+
+    Starts from D = -I at the initial seed and applies
+    ``d_recurrence_step`` along the path.  Pure integer arithmetic; no
+    cluster expansion involved.  Returns a tuple of n column tuples.
+    """
+    b, degrees = pattern.b0, pattern.pair.degrees
+    cols = mat.identity(b.n, -1)
     for k in path:
-        rk = degrees[k]
-        col_b = b.column(k)
-        pos_sum = [0] * n
-        neg_sum = [0] * n
-        for l in range(n):
-            w = col_b[l] * rk
-            if w > 0:
-                for i in range(n):
-                    pos_sum[i] += cols[l][i] * w
-            elif w < 0:
-                for i in range(n):
-                    neg_sum[i] += cols[l][i] * (-w)
-        new_k = [-cols[k][i] + max(pos_sum[i], neg_sum[i]) for i in range(n)]
-        cols[k] = new_k
+        cols = d_recurrence_step(cols, b, degrees, k)
         b = mutate_matrix(b, degrees, k)
-    return tuple(tuple(c) for c in cols)
+    return cols
 
 
 def d_matrix_from_laurent(seed: Seed):

@@ -89,15 +89,10 @@ def find_skew_symmetrizer(rows):
                 elif s[j] != want:
                     raise NotSkewSymmetrizableError(
                         "inconsistent symmetrizer ratios on a cycle through %d" % j)
-        lcm_den = 1
+        lcm_den = math.lcm(*(s[i].denominator for i in component))
+        g = math.gcd(*(int(s[i] * lcm_den) for i in component))
         for i in component:
-            lcm_den = lcm_den * s[i].denominator // math.gcd(lcm_den, s[i].denominator)
-        ints = {i: s[i] * lcm_den for i in component}
-        g = 0
-        for v in ints.values():
-            g = math.gcd(g, int(v))
-        for i in component:
-            s[i] = ints[i] / g
+            s[i] = s[i] * lcm_den / g
     out = tuple(int(v) for v in s)
     check = mat.scale_rows(out, m)
     if not mat.is_skew_symmetric(check):
@@ -113,13 +108,16 @@ class ExchangeMatrix:
     def __init__(self, rows):
         self.rows = mat.freeze(rows)
         self.n = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.n:
-                raise DimensionError("exchange matrix must be square")
-            for v in row:
-                if not isinstance(v, int):
-                    raise TypeError("exchange matrix entries must be ints")
+        if not all(isinstance(v, int) for row in self.rows for v in row):
+            raise TypeError("exchange matrix entries must be ints")
         self.symmetrizer = find_skew_symmetrizer(self.rows)
+
+    @classmethod
+    def _derived(cls, rows, symmetrizer):
+        """Wrap mutation results, which inherit the symmetrizer."""
+        out = object.__new__(cls)
+        out.rows, out.n, out.symmetrizer = rows, len(rows), symmetrizer
+        return out
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -249,6 +247,9 @@ def mutate_matrix(B: ExchangeMatrix, pair, k: int) -> ExchangeMatrix:
 
     b'_{ij} = -b_{ij} when i = k or j = k, otherwise
     b'_{ij} = b_{ij} + r_k (b_{ik} [-b_{kj}]_+ + [b_{ik}]_+ b_{kj}).
+
+    Mutation keeps B's skew-symmetrizer S, so the result carries S after
+    an O(n^2) check that S*B' is skew-symmetric.
     """
     degrees = pair.degrees if isinstance(pair, MutationPair) else tuple(pair)
     n = B.n
@@ -256,17 +257,14 @@ def mutate_matrix(B: ExchangeMatrix, pair, k: int) -> ExchangeMatrix:
         raise IndexError("mutation direction out of range")
     rk = degrees[k]
     b = B.rows
-    new = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            else:
-                row.append(b[i][j] + rk * (b[i][k] * _pos(-b[k][j])
-                                           + _pos(b[i][k]) * b[k][j]))
-        new.append(row)
-    return ExchangeMatrix(new)
+    new = tuple(tuple(-b[i][j] if i == k or j == k
+                      else b[i][j] + rk * (b[i][k] * _pos(-b[k][j])
+                                           + _pos(b[i][k]) * b[k][j])
+                      for j in range(n))
+                for i in range(n))
+    if not mat.is_skew_symmetric(mat.scale_rows(B.symmetrizer, new)):
+        raise NotSkewSymmetrizableError("mutation lost the skew-symmetrizer")
+    return ExchangeMatrix._derived(new, B.symmetrizer)
 
 
 def check_classic_compat(B: ExchangeMatrix, pair: MutationPair, k: int) -> bool:

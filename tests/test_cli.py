@@ -1,12 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from gencluster import (ConfigError, PrincipalPattern, pair_from_config,
-                        parse_path, pattern_from_config, pattern_to_config,
-                        seed_dump)
+import gencluster
+from gencluster import (ConfigError, InconsistentDegreeTransportError,
+                        PrincipalPattern, pair_from_config, parse_path,
+                        pattern_from_config, pattern_to_config, seed_dump)
 from gencluster.cli import main
 
 GEN2 = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1],
@@ -214,12 +216,32 @@ def test_violations_exit_code(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("error", [
+    RuntimeError("canonical key collision: matrices differ"),
+    InconsistentDegreeTransportError("equivalent seeds fail to transport"),
+])
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, error):
+    # an engine bug is neither a verdict (1) nor a usage error (2)
+    import gencluster.cli as cli
+
+    def fake(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "explore", fake)
+    cfg = write(tmp_path, "a2.json", A2)
+    assert main(["explore", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "internal error: %s\n" % error
+
+
 def test_console_entry_point(tmp_path):
     cfg = write(tmp_path, "a2.json", A2)
+    # the child process imports the same gencluster as this one
+    src = os.path.dirname(os.path.dirname(gencluster.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gencluster.cli", "explore",
          "--config", cfg, "--depth", "10"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vertex_count"] == 5
     assert "complete" in proc.stderr

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gencluster import (InconsistentDegreeTransportError, Seed,
+from gencluster import (ClusterPattern, InconsistentDegreeTransportError, Seed,
                         UnknownVariableError, canonical_form, compatibility,
                         explore, verify_all_connected_subgraphs,
                         verify_compatible_sets, verify_connected_subgraph,
@@ -19,12 +19,13 @@ def test_canonical_form_sorts_and_keys(a2):
     s0 = a2.initial_seed()
     c = canonical_form(s0, a2.pair)
     assert c.perm == (0, 1)
-    assert [str(v) for v in c.seed.x] == ["x1", "x2"]
+    assert c.serials == ("x1", "x2")
     # a relabeled copy canonicalizes to the same key
     swapped = Seed(type(s0.B)(((0, -1), (1, 0))), (s0.x[1], s0.x[0]),
                    (s0.y[1], s0.y[0]))
     assert canonical_form(swapped, a2.pair).key == c.key
     assert canonical_form(swapped, a2.pair).perm == (1, 0)
+    assert canonical_form(swapped, a2.pair).serials == ("x2", "x1")
 
 
 def test_canonical_form_separates_unequal_degrees(a2, gen2):
@@ -85,14 +86,14 @@ def test_explore_counts(a2_graph, gen2_graph, a3_graph, gen3_graph):
         assert graph.vertex_count() == nv
         assert graph.edge_count() == ne
         n = graph.pattern.n
-        assert all(graph.degree(i) == n for i in range(nv))
+        assert all(len({w for w, _ in row}) == n for row in graph.succ)
 
 
 def test_explore_is_deterministic(gen2):
     a = explore(gen2, depth_limit=12)
     b = explore(gen2, depth_limit=12)
     assert [r.canon.key for r in a.vertices] == [r.canon.key for r in b.vertices]
-    assert a.edges == b.edges
+    assert a.succ == b.succ
 
 
 def test_truncation_and_resume(gen2):
@@ -101,8 +102,51 @@ def test_truncation_and_resume(gen2):
     done = explore(gen2, depth_limit=12, resume=t)
     assert done.complete
     assert done.vertex_count() == 6 and done.edge_count() == 6
+    assert done.succ == explore(gen2, depth_limit=12).succ
     capped = explore(gen2, vertex_limit=3)
     assert not capped.complete and capped.vertex_count() == 3
+
+
+def _chain(n):
+    return [[1 if j == i + 1 else -1 if j == i - 1 else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def test_resume_after_vertex_cap_matches_one_shot():
+    # a vertex whose neighbour was dropped at the cap keeps an empty
+    # slot, so resuming reaches the whole graph
+    a4 = ClusterPattern.build(_chain(4))
+    full = explore(a4, depth_limit=40, vertex_limit=1000)
+    assert full.complete and full.vertex_count() == 42 and full.edge_count() == 84
+    part = explore(a4, vertex_limit=10)
+    assert not part.complete and part.vertex_count() == 10
+    resumed = explore(a4, depth_limit=40, vertex_limit=1000, resume=part)
+    assert resumed.key_to_index == full.key_to_index
+    assert resumed.succ == full.succ
+    assert resumed.to_json_dict() == full.to_json_dict()
+    # resuming leaves the input graph alone
+    assert part.vertex_count() == 10 and not part.complete
+
+
+# type D4: node 2 joined to the other three
+D4 = [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]]
+
+
+@pytest.mark.parametrize("rows,degrees,count", [
+    (_chain(2), None, 5), (_chain(3), None, 14), (_chain(4), None, 42),
+    (_chain(5), None, 132), (_chain(3), (2, 1, 1), 20),
+    (_chain(3), (1, 1, 2), 20), (_chain(2), (3, 1), 8), (D4, None, 50),
+], ids=["A2", "A3", "A4", "A5", "B3", "C3", "G2", "D4"])
+def test_finite_type_cluster_counts(rows, degrees, count):
+    graph = explore(ClusterPattern.build(rows, degrees=degrees),
+                    vertex_limit=1000)
+    n = len(rows)
+    assert graph.complete and graph.vertex_count() == count
+    for v, row in enumerate(graph.succ):
+        assert len({w for w, _ in row}) == n
+        for k, (w, sigma) in enumerate(row):
+            inverse = tuple(sorted(range(n), key=sigma.__getitem__))
+            assert graph.succ[w][sigma[k]] == (v, inverse)
 
 
 def test_resume_requires_same_pattern(a2, gen2):

@@ -9,6 +9,7 @@ from gencluster import (DimensionError, LaurentPolynomial, NotHomogeneousError,
                         d_matrix_by_recurrence, d_matrix_from_laurent,
                         f_polynomial, f_polynomials, g_matrix, g_vector,
                         principal_companion, principal_pattern)
+from gencluster.invariants import d_recurrence_step
 from test_seeds import random_pattern
 
 
@@ -21,11 +22,11 @@ def test_d_recurrence_base_and_step(a2):
     assert d_matrix_by_recurrence(a2, (0, 1)) == ((1, 0), (1, 1))
 
 
-def test_d_recurrence_accepts_bare_matrix(gen2):
-    got = d_matrix_by_recurrence(gen2.b0, (0,), gen2.pair.degrees)
-    assert got == d_matrix_by_recurrence(gen2, (0,))
-    with pytest.raises(ValueError):
-        d_matrix_by_recurrence(gen2.b0, (0,))
+def test_d_recurrence_step_continues_a_path(gen2):
+    start = d_matrix_by_recurrence(gen2, (0,))
+    b = gen2.seed_at((0,)).B
+    assert (d_recurrence_step(start, b, gen2.pair.degrees, 1)
+            == d_matrix_by_recurrence(gen2, (0, 1)))
 
 
 @given(st.integers(0, 10 ** 6))

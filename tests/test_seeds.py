@@ -97,8 +97,10 @@ def test_mutate_matrix_involution_and_compat(seed):
     pattern = random_pattern(rng, n)
     b = pattern.b0
     for k in range(n):
-        assert mutate_matrix(mutate_matrix(b, pattern.pair, k),
-                             pattern.pair, k).rows == b.rows
+        mutated = mutate_matrix(b, pattern.pair, k)
+        # mutation carries the symmetrizer instead of searching again
+        assert find_skew_symmetrizer(mutated.rows) == mutated.symmetrizer
+        assert mutate_matrix(mutated, pattern.pair, k).rows == b.rows
         assert check_classic_compat(b, pattern.pair, k)
 
 
