@@ -2,7 +2,9 @@
 
 Each case runs one ``gencluster`` command on a small config and compares
 the written report with ``tests/golden/<name>``, ``key_hash`` values
-included.  Any change in rendering, ordering or hashing fails here, so a
+included.  The ``REPORTS`` cases pin library reports the command line
+cannot produce: the companion-pair checks on a pair that ``make_pair``
+would reject, so their violation lists and order are fixed too.  Any change in rendering, ordering or hashing fails here, so a
 refactor that must keep outputs can be judged by this file alone.
 
 Regenerate (only when an output change is intended) with::
@@ -16,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from gencluster import (AlgebraPair, ClusterPattern, verify_d_equality,
+                        verify_identification)
 from gencluster.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -59,6 +63,23 @@ CASES = {
                                        "--depth", "12"]),
     "verify_pair_d_equality.json": (PAIR2, ["verify", "d-equality",
                                             "--horizon", "5"]),
+    "verify_pair_bijection.json": (PAIR2, ["verify", "bijection",
+                                           "--horizon", "6"]),
+}
+
+
+def _unrelated_pair():
+    """A2 against [[0,2],[-1,0]]: the column-scaled products differ."""
+    return AlgebraPair(ClusterPattern.build(A2["b"]),
+                       ClusterPattern.build([[0, 2], [-1, 0]]))
+
+
+# golden file name -> report of a library call
+REPORTS = {
+    "unrelated_identification.json":
+        lambda: verify_identification(_unrelated_pair(), 6),
+    "unrelated_d_equality.json":
+        lambda: verify_d_equality(_unrelated_pair(), horizon=4),
 }
 
 
@@ -72,12 +93,22 @@ def render(name, workdir):
     return code, out.read_bytes()
 
 
+def render_report(name):
+    return (json.dumps(REPORTS[name]().to_json_dict(), indent=2)
+            + "\n").encode()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path, capsys):
     code, got = render(name, tmp_path)
     capsys.readouterr()
     assert code == 0
     assert got == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_golden_report(name):
+    assert render_report(name) == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
@@ -90,3 +121,6 @@ if __name__ == "__main__":
                 sys.exit("%s: exit code %d" % (name, code))
             (GOLDEN / name).write_bytes(got)
             print("wrote", GOLDEN / name, file=sys.stderr)
+    for name in sorted(REPORTS):
+        (GOLDEN / name).write_bytes(render_report(name))
+        print("wrote", GOLDEN / name, file=sys.stderr)
