@@ -3,8 +3,8 @@
 Exit codes: 0 all checks passed (or command succeeded), 1 a verifier
 found violations, 2 the command could not run (usage, config, or a
 check that needs a completed exploration on an unfinished one), 3 an
-internal error of the engine (a canonical key collision or a failed
-degree transport), which is never a verdict on the input.
+internal error of the engine (a key collision, a failed degree transport
+or a mutation leaving the Laurent ring), never a verdict on the input.
 
 All directions, paths and matrix indices in configs, flags and reports
 are 1-based; see the library docstrings for the 0-based API.
@@ -19,7 +19,8 @@ import sys
 from .config import (pair_from_config, parse_path, pattern_from_config,
                      seed_dump)
 from .correspondence import verify_d_equality, verify_identification
-from .errors import GenClusterError, InconsistentDegreeTransportError
+from .errors import (GenClusterError, InconsistentDegreeTransportError,
+                     NotLaurentError)
 from .graph import (explore, verify_all_connected_subgraphs,
                     verify_compatible_sets, verify_connected_subgraph,
                     verify_dvector_trichotomy, verify_initial_cluster_recovery)
@@ -234,7 +235,8 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except (RuntimeError, InconsistentDegreeTransportError) as e:
+    except (RuntimeError, InconsistentDegreeTransportError,
+            NotLaurentError) as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 3
     except (_Usage, GenClusterError, ValueError) as e:

@@ -4,9 +4,11 @@ Two patterns (B, R) and (Bb, Rb) form a pair when the column-scaled
 products agree: B * diag(R) == Bb * diag(Rb).  Mutating both along the
 same direction sequence preserves the condition, the integer
 denominator recurrences coincide step for step, and matching positions
-carry corresponding cluster variables.  ``verify_identification`` tests
-the induced graph isomorphism exhaustively over all non-backtracking
-direction sequences up to a horizon.
+carry corresponding cluster variables.  Both checks fold one step per
+edge over the tree of non-backtracking direction sequences up to a
+horizon: ``verify_d_equality`` carries the (D-matrix, exchange matrix)
+of each side, ``verify_identification`` walks each side's explored
+transition table and reads variables off its stored renderings.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 from . import matrices as mat
 from .errors import IncompatibleInitialDataError
-from .graph import VerificationReport, canonical_form
-from .invariants import d_matrix_by_recurrence
-from .seeds import ClusterPattern, mutate_seed
+from .graph import VerificationReport, explore
+from .invariants import d_recurrence_step
+from .seeds import ClusterPattern, mutate_matrix
 
 
 @dataclass(frozen=True)
@@ -52,41 +54,43 @@ def make_pair(left: ClusterPattern, right: ClusterPattern = None) -> AlgebraPair
     return AlgebraPair(left, right)
 
 
-def tree_paths(n: int, horizon: int):
-    """All non-backtracking direction sequences of length <= horizon,
-    in breadth-first lexicographic order (0-based directions)."""
-    out = [()]
-    frontier = [()]
+def _fold_tree(n: int, horizon: int, root, step):
+    """``(path, state)`` for every path of ``tree_paths(n, horizon)``, in
+    that order: ``root`` at the empty path, then ``step(state, k)`` once
+    per tree edge."""
+    out = [((), root)]
+    frontier = out[:]
     for _ in range(horizon):
-        nxt = []
-        for p in frontier:
-            for k in range(n):
-                if p and p[-1] == k:
-                    continue
-                nxt.append(p + (k,))
-        out.extend(nxt)
-        frontier = nxt
+        frontier = [(p + (k,), step(state, k)) for p, state in frontier
+                    for k in range(n) if not p or p[-1] != k]
+        out.extend(frontier)
     return out
 
 
-def verify_d_equality(pair: AlgebraPair, paths=None, horizon=None) -> VerificationReport:
-    """Denominator matrices of the two patterns agree along every path."""
-    if paths is None:
-        if horizon is None:
-            raise ValueError("give explicit paths or a horizon")
-        paths = tree_paths(pair.n, horizon)
-    violations = []
-    for p in paths:
-        p = tuple(p)
-        dl = d_matrix_by_recurrence(pair.left, p)
-        dr = d_matrix_by_recurrence(pair.right, p)
-        if dl != dr:
-            violations.append({"path": [k + 1 for k in p],
-                               "left": [list(c) for c in dl],
-                               "right": [list(c) for c in dr]})
-    return VerificationReport("d-equality", not violations, False,
-                              len(paths), violations,
-                              {"paths": len(paths)})
+def tree_paths(n: int, horizon: int):
+    """All non-backtracking direction sequences of length <= horizon,
+    in breadth-first lexicographic order (0-based directions)."""
+    return [p for p, _ in _fold_tree(n, horizon, None, lambda s, k: None)]
+
+
+def verify_d_equality(pair: AlgebraPair, horizon: int) -> VerificationReport:
+    """Denominator matrices of the two patterns agree along every path
+    of ``tree_paths(n, horizon)``."""
+    sides = (pair.left, pair.right)
+
+    def step(state, k):
+        return tuple((d_recurrence_step(d, b, side.pair.degrees, k),
+                      mutate_matrix(b, side.pair, k))
+                     for (d, b), side in zip(state, sides))
+
+    root = tuple((mat.identity(pair.n, -1), side.b0) for side in sides)
+    walked = _fold_tree(pair.n, horizon, root, step)
+    violations = [{"path": [k + 1 for k in p],
+                   "left": [list(c) for c in dl],
+                   "right": [list(c) for c in dr]}
+                  for p, ((dl, _), (dr, _)) in walked if dl != dr]
+    return VerificationReport("d-equality", not violations, False, len(walked),
+                              violations, {"paths": len(walked)})
 
 
 def transport(pair: AlgebraPair, path, i: int):
@@ -96,22 +100,29 @@ def transport(pair: AlgebraPair, path, i: int):
     return (pair.left.seed_at(p).x[i], pair.right.seed_at(p).x[i])
 
 
-def _expand_tree(pattern: ClusterPattern, horizon: int):
-    """Seeds at every non-backtracking path, computed incrementally."""
-    seeds = {(): pattern.initial_seed()}
-    frontier = [()]
-    for _ in range(horizon):
-        nxt = []
-        for p in frontier:
-            s = seeds[p]
-            for k in range(pattern.n):
-                if p and p[-1] == k:
-                    continue
-                q = p + (k,)
-                seeds[q] = mutate_seed(s, pattern.pair, k)
-                nxt.append(q)
-        frontier = nxt
-    return seeds
+def _walk_table(pattern: ClusterPattern, horizon: int):
+    """Walk every tree path through ``explore(pattern, depth_limit=horizon)``.
+
+    The state (v, pos) of a path says position i of its seed is position
+    pos[i] at vertex v.  Returns the vertex of each path, the rendering
+    at each (path, position) slot and the set of clusters reached.
+    """
+    graph = explore(pattern, depth_limit=horizon)
+
+    def step(state, k):
+        v, pos = state
+        w, sigma = graph.succ[v][pos[k]]
+        return w, tuple(sigma[i] for i in pos)
+
+    vertex, var = {}, {}
+    root = (0, tuple(range(pattern.n)))
+    for p, (v, pos) in _fold_tree(pattern.n, horizon, root, step):
+        vertex[p] = v
+        for i, j in enumerate(pos):
+            var[p, i] = graph.vertices[v].canon.serials[j]
+    clusters = {frozenset(graph.vertices[v].canon.serials)
+                for v in vertex.values()}
+    return vertex, var, clusters
 
 
 def _partition(assignment):
@@ -126,20 +137,12 @@ def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport
     """Within the horizon, both patterns must identify the same paths
     (seed equivalence) and the same (path, position) slots (variable
     equality), making position-matching a bijection of cluster variables
-    that carries clusters to clusters.
+    that carries clusters to clusters.  Each side is explored to the
+    horizon once and every path is walked through its transition table,
+    composing the relabeling of each edge taken.
     """
-    left_seeds = _expand_tree(pair.left, horizon)
-    right_seeds = _expand_tree(pair.right, horizon)
-    paths = sorted(left_seeds, key=lambda p: (len(p), p))
-
-    left_key = {p: canonical_form(left_seeds[p], pair.left.pair).key
-                for p in paths}
-    right_key = {p: canonical_form(right_seeds[p], pair.right.pair).key
-                 for p in paths}
-    left_var = {(p, i): str(left_seeds[p].x[i])
-                for p in paths for i in range(pair.n)}
-    right_var = {(p, i): str(right_seeds[p].x[i])
-                 for p in paths for i in range(pair.n)}
+    left_key, left_var, left_clusters = _walk_table(pair.left, horizon)
+    right_key, right_var, right_clusters = _walk_table(pair.right, horizon)
 
     violations = []
     if _partition(left_key) != _partition(right_key):
@@ -157,21 +160,18 @@ def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport
     if len(set(alpha.values())) != len(alpha):
         violations.append({"kind": "map-not-injective"})
 
-    left_clusters = {frozenset(str(v) for v in left_seeds[p].x) for p in paths}
-    right_clusters = {frozenset(str(v) for v in right_seeds[p].x) for p in paths}
-    mapped = set()
-    if not any(v["kind"] == "map-not-well-defined" for v in violations):
-        mapped = {frozenset(alpha[s] for s in c) for c in left_clusters}
-        if mapped != right_clusters:
-            violations.append({"kind": "cluster-sets-differ"})
+    if (not any(v["kind"] == "map-not-well-defined" for v in violations)
+            and {frozenset(alpha[s] for s in c)
+                 for c in left_clusters} != right_clusters):
+        violations.append({"kind": "cluster-sets-differ"})
     if len(left_clusters) != len(right_clusters):
         violations.append({"kind": "cluster-count-mismatch",
                            "left": len(left_clusters),
                            "right": len(right_clusters)})
 
     return VerificationReport(
-        "identification", not violations, False, len(paths), violations,
-        {"paths": len(paths),
+        "identification", not violations, False, len(left_key),
+        violations, {"paths": len(left_key),
          "vertices": len(_partition(left_key)),
          "variables": len(alpha),
          "clusters": len(left_clusters)})

@@ -276,22 +276,40 @@ def check_classic_compat(B: ExchangeMatrix, pair: MutationPair, k: int) -> bool:
     return left == right
 
 
+def _exchange_monomials(seed: Seed, k: int):
+    """U = y_k prod_i x_i^{[b_{ik}]_+} and V = prod_i x_i^{[-b_{ik}]_+}."""
+    n = seed.n
+    P = seed.y[k].semifield
+    col = seed.B.column(k)
+    u = LaurentPolynomial.constant(n, P, seed.y[k])
+    v = LaurentPolynomial.one(n, P)
+    for i in range(n):
+        if col[i] > 0:
+            u = u * seed.x[i] ** col[i]
+        elif col[i] < 0:
+            v = v * seed.x[i] ** (-col[i])
+    return u, v
+
+
+def _mutate_coefficients(y, row, pair: MutationPair, k: int):
+    """y mutated in direction k (``row`` is row k of B) and the unit
+    Z_k|_P(y_k) of ZP."""
+    rk = pair.degrees[k]
+    trop = eval_poly_tropical(pair.poly_coeffs(k), y[k])
+    new = tuple(y[k].inverse() if i == k
+                else y[i] * (y[k] ** _pos(row[i])) ** rk * trop ** (-row[i])
+                for i in range(len(y)))
+    return new, trop
+
+
 def hat_y(seed: Seed, k: int) -> LaurentPolynomial:
     """yhat_k = y_k prod_i x_i^{b_{ik}} expanded over the ambient ring.
 
     At seeds whose cluster variables carry genuine denominators this can
     leave the Laurent ring, in which case NotLaurentError propagates.
     """
-    n = seed.n
-    col = seed.B.column(k)
-    num = LaurentPolynomial.constant(n, seed.y[k].semifield, seed.y[k])
-    den = LaurentPolynomial.one(n, seed.y[k].semifield)
-    for i in range(n):
-        if col[i] > 0:
-            num = num * seed.x[i] ** col[i]
-        elif col[i] < 0:
-            den = den * seed.x[i] ** (-col[i])
-    return num.exact_div(den)
+    u, v = _exchange_monomials(seed, k)
+    return u.exact_div(v)
 
 
 def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
@@ -300,18 +318,10 @@ def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
     if not 0 <= k < n:
         raise IndexError("mutation direction out of range")
     P = pair.semifield
-    col = seed.B.column(k)
     rk = pair.degrees[k]
     coeffs = pair.poly_coeffs(k)
 
-    u = LaurentPolynomial.constant(n, P, seed.y[k])
-    v = LaurentPolynomial.one(n, P)
-    for i in range(n):
-        if col[i] > 0:
-            u = u * seed.x[i] ** col[i]
-        elif col[i] < 0:
-            v = v * seed.x[i] ** (-col[i])
-
+    u, v = _exchange_monomials(seed, k)
     u_pows = [LaurentPolynomial.one(n, P)]
     v_pows = [LaurentPolynomial.one(n, P)]
     for _ in range(rk):
@@ -321,22 +331,12 @@ def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
     for s in range(rk + 1):
         numerator = numerator + (u_pows[s] * v_pows[rk - s]).scalar_mul(coeffs[s])
 
-    trop = eval_poly_tropical(coeffs, seed.y[k])  # Z_k|_P(y_k), a unit of ZP
+    y_new, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
     x_new = numerator.exact_div(seed.x[k]).scalar_mul(trop.inverse())
-
-    y_new = []
-    row = seed.B.row(k)
-    for i in range(n):
-        if i == k:
-            y_new.append(seed.y[k].inverse())
-        else:
-            yi = seed.y[i] * (seed.y[k] ** _pos(row[i])) ** rk
-            yi = yi * trop ** (-row[i])
-            y_new.append(yi)
 
     xs = list(seed.x)
     xs[k] = x_new
-    return Seed(mutate_matrix(seed.B, pair, k), tuple(xs), tuple(y_new))
+    return Seed(mutate_matrix(seed.B, pair, k), tuple(xs), y_new)
 
 
 def apply_path(seed: Seed, pair: MutationPair, path) -> Seed:
@@ -369,6 +369,7 @@ class ClusterPattern:
         self.y0 = y0
         self.semifield = pair.semifield
         self.n = b0.n
+        self._rb_symmetrizer = None
 
     @classmethod
     def build(cls, rows, degrees=None, semifield=None, y0=None, frozen=None):
@@ -401,9 +402,12 @@ class ClusterPattern:
         return ClusterPattern(b, self.pair, y)
 
     def rb_symmetrizer(self):
-        """Skew-symmetrizer S of R*B_{t0}; S*R*B_t stays skew along mutation."""
-        rb = mat.scale_rows(self.pair.degrees, self.b0.rows)
-        return find_skew_symmetrizer(rb)
+        """Skew-symmetrizer S of R*B_{t0}, computed on first use;
+        S*R*B_t stays skew along mutation."""
+        if self._rb_symmetrizer is None:
+            rb = mat.scale_rows(self.pair.degrees, self.b0.rows)
+            self._rb_symmetrizer = find_skew_symmetrizer(rb)
+        return self._rb_symmetrizer
 
     def __eq__(self, other):
         return (isinstance(other, ClusterPattern)
@@ -418,23 +422,12 @@ class ClusterPattern:
 def coefficient_walk(pattern: ClusterPattern, path):
     """Walk only (B, y) along a path; cheap, no cluster arithmetic."""
     b = pattern.b0
-    y = list(pattern.y0)
+    y = pattern.y0
     pair = pattern.pair
     for k in path:
-        rk = pair.degrees[k]
-        coeffs = pair.poly_coeffs(k)
-        trop = eval_poly_tropical(coeffs, y[k])
-        row = b.row(k)
-        new = []
-        for i in range(pattern.n):
-            if i == k:
-                new.append(y[k].inverse())
-            else:
-                yi = y[i] * (y[k] ** _pos(row[i])) ** rk
-                new.append(yi * trop ** (-row[i]))
-        y = new
+        y, _ = _mutate_coefficients(y, b.row(k), pair, k)
         b = mutate_matrix(b, pair, k)
-    return b, tuple(y)
+    return b, y
 
 
 @dataclass

@@ -7,8 +7,9 @@ import pytest
 
 import gencluster
 from gencluster import (ConfigError, InconsistentDegreeTransportError,
-                        PrincipalPattern, pair_from_config, parse_path,
-                        pattern_from_config, pattern_to_config, seed_dump)
+                        NotLaurentError, PrincipalPattern, pair_from_config,
+                        parse_path, pattern_from_config, pattern_to_config,
+                        seed_dump)
 from gencluster.cli import main
 
 GEN2 = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1],
@@ -206,7 +207,7 @@ def test_violations_exit_code(tmp_path, capsys, monkeypatch):
     import gencluster.cli as cli
     from gencluster.graph import VerificationReport
 
-    def fake(pair, horizon=None, paths=None):
+    def fake(pair, horizon):
         return VerificationReport("d-equality", False, False, 1,
                                   [{"kind": "synthetic"}])
 
@@ -219,6 +220,7 @@ def test_violations_exit_code(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("error", [
     RuntimeError("canonical key collision: matrices differ"),
     InconsistentDegreeTransportError("equivalent seeds fail to transport"),
+    NotLaurentError("leading monomial does not divide"),
 ])
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, error):
     # an engine bug is neither a verdict (1) nor a usage error (2)

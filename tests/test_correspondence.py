@@ -4,6 +4,7 @@ from gencluster import (AlgebraPair, ClusterPattern,
                         IncompatibleInitialDataError, TropicalSemifield,
                         make_pair, transport, tree_paths, verify_d_equality,
                         verify_identification)
+from gencluster.invariants import d_recurrence_step
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +54,19 @@ def test_d_equality(pair2):
     assert rep.status == "no-counterexample-within-horizon"
 
 
-def test_d_equality_explicit_paths(pair2):
-    rep = verify_d_equality(pair2, paths=[(), (0,), (0, 1), (1, 0, 1)])
-    assert rep.passed and rep.checked == 4
+def test_d_equality_one_recurrence_step_per_tree_edge(pair2, monkeypatch):
+    import gencluster.correspondence as corr
+    calls = []
 
+    def counting(cols, b, degrees, k):
+        calls.append(degrees)
+        return d_recurrence_step(cols, b, degrees, k)
 
-def test_d_equality_needs_paths_or_horizon(pair2):
-    with pytest.raises(ValueError):
-        verify_d_equality(pair2)
+    monkeypatch.setattr(corr, "d_recurrence_step", counting)
+    rep = verify_d_equality(pair2, 6)
+    edges = len(tree_paths(2, 6)) - 1
+    assert rep.passed and len(calls) == 2 * edges
+    assert calls.count(pair2.left.pair.degrees) == edges
 
 
 def test_d_equality_detects_unrelated_patterns(a2):
