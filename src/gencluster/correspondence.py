@@ -160,18 +160,19 @@ def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport
     if len(set(alpha.values())) != len(alpha):
         violations.append({"kind": "map-not-injective"})
 
-    if (not any(v["kind"] == "map-not-well-defined" for v in violations)
-            and {frozenset(alpha[s] for s in c)
-                 for c in left_clusters} != right_clusters):
-        violations.append({"kind": "cluster-sets-differ"})
+    mapped = set()
+    if not any(v["kind"] == "map-not-well-defined" for v in violations):
+        mapped = {frozenset(alpha[s] for s in c) for c in left_clusters}
+        if mapped != right_clusters:
+            violations.append({"kind": "cluster-sets-differ"})
     if len(left_clusters) != len(right_clusters):
         violations.append({"kind": "cluster-count-mismatch",
                            "left": len(left_clusters),
                            "right": len(right_clusters)})
 
     return VerificationReport(
-        "identification", not violations, False, len(left_key),
-        violations, {"paths": len(left_key),
+        "identification", not violations, False, len(left_key), violations,
+        {"paths": len(left_key),
          "vertices": len(_partition(left_key)),
          "variables": len(alpha),
          "clusters": len(left_clusters)})

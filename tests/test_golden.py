@@ -4,8 +4,9 @@ Each case runs one ``gencluster`` command on a small config and compares
 the written report with ``tests/golden/<name>``, ``key_hash`` values
 included.  The ``REPORTS`` cases pin library reports the command line
 cannot produce: the companion-pair checks on a pair that ``make_pair``
-would reject, so their violation lists and order are fixed too.  Any change in rendering, ordering or hashing fails here, so a
-refactor that must keep outputs can be judged by this file alone.
+would reject, so their violation lists and order are fixed too.  Any
+change in rendering, ordering or hashing fails here, so a refactor that
+must keep outputs can be judged by this file alone.
 
 Regenerate (only when an output change is intended) with::
 
