@@ -48,7 +48,7 @@ def _xnames(rank):
 class LaurentPolynomial:
     """Element of the Laurent ring over ZP in ``rank`` cluster variables."""
 
-    __slots__ = ("rank", "semifield", "_terms", "_hash")
+    __slots__ = ("rank", "semifield", "_terms", "_hash", "_str")
 
     def __init__(self, rank: int, semifield: TropicalSemifield, terms: dict):
         """Build from a dict {x-exponent tuple: coefficient}.
@@ -81,6 +81,7 @@ class LaurentPolynomial:
         self.semifield = semifield
         self._terms = flat
         self._hash = None
+        self._str = None
 
     # ---- constructors ----
 
@@ -143,8 +144,8 @@ class LaurentPolynomial:
     def _result(self, terms):
         """Wrap a flat term dict that is already clean (ring-op results)."""
         out = object.__new__(LaurentPolynomial)
-        out.rank, out.semifield, out._terms, out._hash = (
-            self.rank, self.semifield, terms, None)
+        out.rank, out.semifield, out._terms, out._hash, out._str = (
+            self.rank, self.semifield, terms, None, None)
         return out
 
     def __add__(self, other):
@@ -257,6 +258,12 @@ class LaurentPolynomial:
         return self._hash
 
     def __str__(self):
+        """The canonical rendering, built on first use and kept."""
+        if self._str is None:
+            self._str = self._render()
+        return self._str
+
+    def _render(self):
         n = self.rank
         xnames, unames = _xnames(n), self.semifield.generators
         groups = {}

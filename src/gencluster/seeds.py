@@ -317,19 +317,21 @@ def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
     n = seed.n
     if not 0 <= k < n:
         raise IndexError("mutation direction out of range")
-    P = pair.semifield
     rk = pair.degrees[k]
     coeffs = pair.poly_coeffs(k)
 
     u, v = _exchange_monomials(seed, k)
-    u_pows = [LaurentPolynomial.one(n, P)]
-    v_pows = [LaurentPolynomial.one(n, P)]
-    for _ in range(rk):
-        u_pows.append(u_pows[-1] * u)
-        v_pows.append(v_pows[-1] * v)
-    numerator = LaurentPolynomial.zero(n, P)
-    for s in range(rk + 1):
-        numerator = numerator + (u_pows[s] * v_pows[rk - s]).scalar_mul(coeffs[s])
+    # U^s = U^(s//2) * U^(s - s//2), so every even power is a square
+    u_pows, v_pows = [None, u], [None, v]
+    for s in range(2, rk + 1):
+        u_pows.append(u_pows[s // 2] * u_pows[s - s // 2])
+        v_pows.append(v_pows[s // 2] * v_pows[s - s // 2])
+    numerator = u_pows[rk] + v_pows[rk]          # c_0 = c_r = 1
+    for s in range(1, rk):
+        term = u_pows[s] * v_pows[rk - s]
+        if not coeffs[s].is_one():
+            term = term.scalar_mul(coeffs[s])
+        numerator = numerator + term
 
     y_new, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
     x_new = numerator.exact_div(seed.x[k]).scalar_mul(trop.inverse())

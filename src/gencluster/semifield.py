@@ -20,12 +20,26 @@ of sparse Laurent arithmetic over Z (``add_terms``, ``mul_terms``,
 of the monomial rendering; ``GroupRingElement`` and ``laurent``'s
 ``LaurentPolynomial`` are thin typed wrappers around them.
 
+Exact division by a polynomial packs exponent vectors into single ints
+for its inner loop (Monagan & Pearce, CASC 2007): one field per
+variable, offset by that variable's minimal exponent, under a top field
+holding the total degree, so int order is graded-lex order and a product
+of monomials is one int addition.  Each field is one bit wider than the
+larger shifted total degree of dividend and divisor; that spare top bit
+is a guard bit, which turns "does the divisor's leading monomial divide
+this one" into one subtraction and one mask.  The width has to cover the
+divisor as well as the dividend, or a divisor of higher degree would
+spill into its neighbouring fields instead of failing the test.  A lazy
+``heapq`` max-heap of these keys yields the leading terms (Johnson 1974).
+Term dicts outside this loop keep exponent tuples.
+
 Everything here is exact: exponents and coefficients are Python ints,
 numeric evaluation returns ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from operator import add, sub
 
@@ -234,11 +248,29 @@ def add_terms(a: dict, b: dict) -> dict:
 
 
 def mul_terms(a: dict, b: dict) -> dict:
-    """a * b."""
-    if len(a) < len(b):
-        a, b = b, a
+    """a * b; a square (``a is b``) forms each cross product once."""
     out = {}
     get = out.get
+    if a is b:
+        items = list(a.items())
+        for i, (ei, ci) in enumerate(items):
+            key = tuple(map(add, ei, ei))
+            s = get(key, 0) + ci * ci
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+            ci2 = 2 * ci
+            for ej, cj in items[i + 1:]:
+                key = tuple(map(add, ei, ej))
+                s = get(key, 0) + ci2 * cj
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return out
+    if len(a) < len(b):
+        a, b = b, a
     for eb, cb in b.items():
         for ea, ca in a.items():
             key = tuple(map(add, ea, eb))
@@ -255,14 +287,50 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _pack(terms: dict, low, width: int) -> dict:
+    """Packed keys of ``terms`` shifted down by ``low`` (see exact_div_terms)."""
+    out = {}
+    for e, c in terms.items():
+        shifted = tuple(map(sub, e, low))
+        key = sum(shifted)
+        for x in shifted:
+            key = (key << width) | x
+        out[key] = c
+    return out
+
+
 def exact_div_terms(num: dict, den: dict) -> dict:
     """The quotient num / den; raises NotLaurentError on any remainder.
 
-    Both operands are first shifted into the polynomial cone, the divisor
-    by its own minimal exponents and the dividend by enough more that the
-    quotient (whose minimal exponent in each variable is the difference
-    of the operands' minima) is a polynomial too.  Graded-lex leading
-    terms must then divide at every step.
+    A one-term divisor divides every coefficient and shifts every
+    exponent.  Otherwise the division runs in the polynomial cone: the
+    divisor is shifted down by its minimal exponents ``den_min`` and the
+    quotient by ``num_min - den_min`` (in each variable the lowest power
+    of a product is the sum of the factors' lowest powers), so every
+    shifted dividend exponent is a shifted quotient exponent plus a
+    shifted divisor exponent, all nonnegative.
+
+    Each shifted exponent vector is packed into one int of ``k + 1``
+    fields of ``width`` bits: the total degree in the top field, then the
+    variables in order, so int order is graded-lex order and the sum of
+    two monomials is one int addition.  The top bit of each field is a
+    guard bit that stays zero in every key: ``width`` is one more than
+    the bit length of the larger shifted total degree of the two
+    operands.  Every working key is a quotient term times a divisor term
+    of at most the leading total degree, so no field of the dividend's
+    cone overflows; the divisor's own keys must fit too, which is why
+    the width covers both operands (a divisor of higher degree than the
+    dividend must fail the test below, not spill into the next field).
+
+    The graded-lex leading term of the remainder must be divisible by
+    the divisor's leading term ``dlead`` at every step, which the guard
+    bits test in one subtraction: ``((lead | G) - dlead) & G == G`` with
+    ``G`` the mask of all guard bits (a field that would go negative
+    clears its guard bit and borrows nothing from the next).  The
+    remainder's keys sit in a lazy max-heap; a key whose coefficient has
+    cancelled is skipped when it surfaces, and since the leads strictly
+    decrease a processed key never comes back.  The quotient is unpacked
+    once at the end.
     """
     if not den:
         raise ZeroDivisionError("division by zero")
@@ -280,35 +348,48 @@ def exact_div_terms(num: dict, den: dict) -> dict:
 
     num_min = [min(col) for col in zip(*num)]
     den_min = [min(col) for col in zip(*den)]
-    shift_den = tuple(max(0, -dm) for dm in den_min)
-    shift_q = tuple(max(0, dm - nm) for nm, dm in zip(num_min, den_min))
-    shift_num = tuple(map(add, shift_q, shift_den))
+    q_min = tuple(map(sub, num_min, den_min))
+    top = max(max(sum(e) for e in num) - sum(num_min),
+              max(sum(e) for e in den) - sum(den_min))
+    width = top.bit_length() + 1
+    nfields = len(q_min) + 1
+    guard = 0
+    for _ in range(nfields):
+        guard = (guard << width) | (1 << (width - 1))
 
-    work = {tuple(map(add, e, shift_num)): c for e, c in num.items()}
-    dterms = {tuple(map(add, e, shift_den)): c for e, c in den.items()}
-    dlead = max(dterms, key=_grlex_key)
-    dlc = dterms[dlead]
-    rest = [(e, c) for e, c in dterms.items() if e != dlead]
+    work = _pack(num, num_min, width)
+    dterms = _pack(den, den_min, width)
+    dlead = max(dterms)
+    dlc = dterms.pop(dlead)
+    rest = list(dterms.items())
 
-    quot = {}
-    get = work.get
-    while work:
-        lead = max(work, key=_grlex_key)
-        qexp = tuple(map(sub, lead, dlead))
-        if min(qexp) < 0:
+    heap = [-key for key in work]
+    heapq.heapify(heap)
+    quot = []
+    while heap:
+        lead = -heapq.heappop(heap)
+        c = work.pop(lead)
+        if not c:
+            continue
+        if ((lead | guard) - dlead) & guard != guard:
             raise NotLaurentError("leading monomial does not divide")
-        qc, r = divmod(work.pop(lead), dlc)
+        qc, r = divmod(c, dlc)
         if r:
             raise NotLaurentError("leading coefficient does not divide")
-        quot[qexp] = qc
-        for de, dc in rest:
-            key = tuple(map(add, qexp, de))
-            s = get(key, 0) - qc * dc
-            if s:
-                work[key] = s
+        qkey = lead - dlead
+        quot.append((qkey, qc))
+        for dkey, dc in rest:
+            key = qkey + dkey
+            if key in work:
+                work[key] -= qc * dc
             else:
-                del work[key]
-    return {tuple(map(sub, e, shift_q)): c for e, c in quot.items()}
+                work[key] = -qc * dc
+                heapq.heappush(heap, -key)
+
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(nfields - 2, -1, -1)]
+    return {tuple((qkey >> s & mask) + m for s, m in zip(shifts, q_min)): qc
+            for qkey, qc in quot}
 
 
 def power(base, n: int, one):

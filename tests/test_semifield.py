@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gencluster import NotLaurentError, TropicalSemifield
-from gencluster.semifield import eval_poly_tropical
+from gencluster.semifield import (add_terms, eval_poly_tropical,
+                                  exact_div_terms, mul_terms)
 
 P = TropicalSemifield(("u", "v"))
 U = P.generator("u")
@@ -195,3 +198,71 @@ def test_distinct_semifields_do_not_mix():
         U * Q.generator("u")
     assert P != Q
     assert P == TropicalSemifield(("u", "v"))
+
+
+# ---- the term-dict kernel itself ----
+
+
+def term_dicts(nvars):
+    """Term dicts in ``nvars`` variables (0 allowed), exponents in +-20."""
+    return st.dictionaries(
+        st.tuples(*[st.integers(-20, 20)] * nvars),
+        st.integers(-9, 9).filter(bool), min_size=1, max_size=6)
+
+
+kernel_operands = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(term_dicts(n), term_dicts(n), st.just(n)))
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds`` (where the
+    platform has interval timers; elsewhere the block just runs)."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_exact_div_width_covers_the_divisor():
+    # the dividend alone has total degree 0 after shifting; packing fields
+    # sized from it overflow on the divisor's degree-4 terms and the
+    # division runs away instead of failing
+    num = {(0, 1): 3}
+    den = {(-2, -1): -3, (1, -1): 1, (2, -2): -1}
+    with deadline(5), pytest.raises(NotLaurentError):
+        exact_div_terms(num, den)
+
+
+@given(kernel_operands)
+def test_exact_div_inverts_mul(operands):
+    a, b, _ = operands
+    assert exact_div_terms(mul_terms(a, b), b) == a
+
+
+@given(kernel_operands, st.data())
+def test_exact_div_rejects_a_spoiled_multiple(operands, data):
+    a, b, n = operands
+    if len(b) == 1 and abs(next(iter(b.values()))) == 1:
+        return  # a unit divides everything
+    # a multiple of b plus one monomial: b is not a unit, so the monomial,
+    # and with it the sum, is not a multiple of b
+    spoil = data.draw(st.tuples(*[st.integers(-20, 20)] * n))
+    with pytest.raises(NotLaurentError):
+        exact_div_terms(add_terms(mul_terms(a, b), {spoil: 1}), b)
+
+
+@given(kernel_operands)
+def test_square_matches_the_general_product(operands):
+    a, _, _ = operands
+    assert mul_terms(a, a) == mul_terms(a, dict(a))
