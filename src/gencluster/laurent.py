@@ -177,8 +177,11 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def scalar_mul(self, c):
-        """Multiply by an int, SemifieldElement or GroupRingElement."""
+        """Multiply by an int, SemifieldElement or GroupRingElement; by
+        the unit it returns self."""
         c = LaurentPolynomial.constant(self.rank, self.semifield, c)
+        if c.is_one():
+            return self
         return self._result(mul_terms(self._terms, c._terms))
 
     def __pow__(self, n: int):

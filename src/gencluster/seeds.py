@@ -32,7 +32,9 @@ the tropical monomial Z_k|_P(y_k).  Indices are 0-based in this API.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -278,17 +280,16 @@ def check_classic_compat(B: ExchangeMatrix, pair: MutationPair, k: int) -> bool:
 
 def _exchange_monomials(seed: Seed, k: int):
     """U = y_k prod_i x_i^{[b_{ik}]_+} and V = prod_i x_i^{[-b_{ik}]_+}."""
-    n = seed.n
-    P = seed.y[k].semifield
     col = seed.B.column(k)
-    u = LaurentPolynomial.constant(n, P, seed.y[k])
-    v = LaurentPolynomial.one(n, P)
-    for i in range(n):
-        if col[i] > 0:
-            u = u * seed.x[i] ** col[i]
-        elif col[i] < 0:
-            v = v * seed.x[i] ** (-col[i])
-    return u, v
+    one = LaurentPolynomial.one(seed.n, seed.y[k].semifield)
+    u = _product([seed.x[i] ** b for i, b in enumerate(col) if b > 0], one)
+    v = _product([seed.x[i] ** -b for i, b in enumerate(col) if b < 0], one)
+    return u.scalar_mul(seed.y[k]), v
+
+
+def _product(factors, one):
+    """The product of a list of factors; ``one`` is never multiplied in."""
+    return functools.reduce(operator.mul, factors) if factors else one
 
 
 def _mutate_coefficients(y, row, pair: MutationPair, k: int):
@@ -328,10 +329,7 @@ def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
         v_pows.append(v_pows[s // 2] * v_pows[s - s // 2])
     numerator = u_pows[rk] + v_pows[rk]          # c_0 = c_r = 1
     for s in range(1, rk):
-        term = u_pows[s] * v_pows[rk - s]
-        if not coeffs[s].is_one():
-            term = term.scalar_mul(coeffs[s])
-        numerator = numerator + term
+        numerator = numerator + (u_pows[s] * v_pows[rk - s]).scalar_mul(coeffs[s])
 
     y_new, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
     x_new = numerator.exact_div(seed.x[k]).scalar_mul(trop.inverse())

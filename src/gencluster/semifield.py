@@ -393,15 +393,16 @@ def exact_div_terms(num: dict, den: dict) -> dict:
 
 
 def power(base, n: int, one):
-    """base ** n for an int n >= 0 by repeated squaring; ``one`` is the unit."""
-    result = one
+    """base ** n for an int n >= 0 by repeated squaring; ``one`` is the
+    unit, returned for n = 0 and never multiplied in."""
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 def evaluate_terms(terms: dict, vals) -> Fraction:
