@@ -31,10 +31,6 @@ class AlgebraPair:
     def n(self):
         return self.left.n
 
-    def companion_product(self):
-        return mat.freeze(mat.scale_columns(self.left.b0.rows,
-                                            self.left.pair.degrees))
-
 
 def make_pair(left: ClusterPattern, right: ClusterPattern = None) -> AlgebraPair:
     """Validate (or construct) a companion pairing.
@@ -58,6 +54,8 @@ def _fold_tree(n: int, horizon: int, root, step):
     """``(path, state)`` for every path of ``tree_paths(n, horizon)``, in
     that order: ``root`` at the empty path, then ``step(state, k)`` once
     per tree edge."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0, got %d" % horizon)
     out = [((), root)]
     frontier = out[:]
     for _ in range(horizon):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import matrices as mat
 from .errors import InconsistentDegreeTransportError, UnknownVariableError
@@ -194,6 +195,9 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
     """
     if depth_limit is None and vertex_limit is None:
         raise ValueError("set depth_limit or vertex_limit (or both)")
+    if (depth_limit is not None and depth_limit < 0
+            or vertex_limit is not None and vertex_limit < 1):
+        raise ValueError("need depth_limit >= 0 and vertex_limit >= 1")
     pair = pattern.pair
     n = pattern.n
     identity = tuple(range(n))
@@ -272,7 +276,9 @@ class _Membership:
     """The variables of a graph, read off the renderings its canonical
     forms stored: ids in order of first appearance, the ids at each
     vertex (``var_at``), the vertices holding each rendering
-    (``where``) and the undirected adjacency of the transition table."""
+    (``where``), the undirected adjacency of the transition table and
+    the compatibility graph: bit b of the int ``nbr[a]`` is set when
+    the distinct variables a and b share a cluster."""
 
     def __init__(self, graph: ExchangeGraph):
         self.nv = graph.vertex_count()
@@ -289,10 +295,10 @@ class _Membership:
             for w, _ in filter(None, row):
                 self.adj[v].add(w)
                 self.adj[w].add(v)
-
-    def compatible_pairs(self):
-        """Ordered pairs of variable ids that share a cluster."""
-        return {(a, b) for row in self.var_at for a in row for b in row}
+        self.nbr = [0] * len(self.ids)
+        for row in self.var_at:
+            for a in row:
+                self.nbr[a] |= sum(1 << b for b in row if b != a)
 
     def serials(self, J):
         out = [str(item) for item in J]
@@ -309,17 +315,12 @@ class _Membership:
 
     def connected_report(self, want):
         hits = self.hits(want)
-        connected = True
-        if len(hits) > 1:
-            hitset = set(hits)
-            seen = {hits[0]}
-            stack = [hits[0]]
-            while stack:
-                for w in self.adj[stack.pop()] & hitset:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            connected = len(seen) == len(hits)
+        hitset, seen, stack = set(hits), set(hits[:1]), hits[:1]
+        while stack:
+            for w in self.adj[stack.pop()] & hitset - seen:
+                seen.add(w)
+                stack.append(w)
+        connected = len(seen) == len(hits)
         violations = [] if connected else [{"subset": sorted(want),
                                             "vertices": hits}]
         return connected, violations, {"subset": sorted(want), "vertices": hits}
@@ -337,12 +338,9 @@ def verify_connected_subgraph(graph: ExchangeGraph, J) -> VerificationReport:
 def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
     """Run the connectivity check for every subset of every cluster."""
     index = _Membership(graph)
-    subsets = set()
-    for rec in graph.vertices:
-        cluster = sorted(rec.canon.serials)
-        n = len(cluster)
-        for mask in range(1 << n):
-            subsets.add(frozenset(cluster[j] for j in range(n) if mask >> j & 1))
+    subsets = {frozenset(sub) for rec in graph.vertices
+               for r in range(graph.pattern.n + 1)
+               for sub in combinations(rec.canon.serials, r)}
     violations = []
     for J in sorted(subsets, key=lambda s: (len(s), sorted(s))):
         violations.extend(index.connected_report(J)[1])
@@ -393,7 +391,6 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
         raise ValueError("trichotomy check needs a completed exploration")
     index = _Membership(graph)
     var_at = index.var_at
-    comp = index.compatible_pairs()
     nv = graph.vertex_count()
     n = graph.pattern.n
 
@@ -416,51 +413,58 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
                                            "base_vertex": w,
                                            "vertex": v})
     for (a, b), d in sorted(table.items()):
-        if a == b:
-            ok = d == -1
-        elif (a, b) in comp:
-            ok = d == 0
-        else:
-            ok = d > 0
+        compatible = a == b or bool(index.nbr[a] >> b & 1)
+        ok = d == -1 if a == b else d == 0 if compatible else d > 0
         if not ok:
             violations.append({"kind": "trichotomy", "pair": (a, b), "d": d,
-                               "compatible": (a, b) in comp})
+                               "compatible": compatible})
     return VerificationReport(
         "d-trichotomy", not violations, True, nv * nv * n * n, violations,
         {"variables": len(index.ids), "pairs": len(table)})
 
 
 def verify_compatible_sets(graph: ExchangeGraph) -> VerificationReport:
-    """Brute-force: every pairwise compatible set sits inside a cluster,
-    and the maximal compatible sets are exactly the clusters."""
+    """Every pairwise compatible set sits inside a cluster, and the
+    maximal compatible sets are exactly the clusters.
+
+    The compatible sets are the cliques of ``nbr``.  One depth-first
+    walk reaches each clique once, in increasing order of its bitmask,
+    by adding ever smaller ids while carrying ``common``, the ids
+    compatible with every member, and ``held``, the vertices whose
+    clusters hold every member: a clique is maximal exactly when
+    ``common`` is 0 and lies in a cluster exactly when ``held`` is not.
+    ``checked`` is ``1 << nval``: every subset of the variables is
+    either a clique the walk visits or holds an incompatible pair.
+    """
     if not graph.complete:
         raise ValueError("compatible-set check needs a completed exploration")
     index = _Membership(graph)
-    nval = len(index.ids)
-    if nval > 20:
-        raise ValueError("too many variables for subset enumeration (%d)" % nval)
-    comp = index.compatible_pairs()
+    nbr = index.nbr
+    nval = len(nbr)
+    holders = [sum(1 << v for v in index.where[s]) for s in index.ids]
     clusters = {frozenset(row) for row in index.var_at}
 
     violations = []
     compatible_count = 0
     maximal = set()
-    for mask in range(1 << nval):
-        members = [a for a in range(nval) if mask >> a & 1]
-        if any((members[p], members[q]) not in comp
-               for p in range(len(members)) for q in range(p + 1, len(members))):
-            continue
+    stack = [((), (1 << nval) - 1, (1 << index.nv) - 1)]
+    while stack:
+        members, common, held = stack.pop()
         compatible_count += 1
-        sub = frozenset(members)
-        if not any(sub <= c for c in clusters):
-            violations.append({"kind": "not-in-a-cluster", "set": sorted(sub)})
-        is_max = all(any((a, b) not in comp for a in members)
-                     for b in range(nval) if b not in sub)
-        if is_max and members:
+        if not held:
+            violations.append({"kind": "not-in-a-cluster",
+                               "set": sorted(members)})
+        if not common:
+            sub = frozenset(members)
             maximal.add(sub)
             if sub not in clusters:
                 violations.append({"kind": "maximal-not-a-cluster",
                                    "set": sorted(sub)})
+        below = common & (1 << members[-1]) - 1 if members else common
+        while below:
+            a = below.bit_length() - 1
+            below ^= 1 << a
+            stack.append((members + (a,), common & nbr[a], held & holders[a]))
     for c in clusters:
         if c not in maximal:
             violations.append({"kind": "cluster-not-maximal", "set": sorted(c)})

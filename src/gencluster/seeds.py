@@ -196,9 +196,6 @@ class MutationPair:
     def n(self):
         return len(self.degrees)
 
-    def is_classic(self):
-        return all(r == 1 for r in self.degrees)
-
     def poly_coeffs(self, k):
         """Full coefficient tuple (1, z_{k,1}, ..., z_{k,r_k-1}, 1)."""
         one = self.semifield.one()
@@ -464,6 +461,8 @@ def check_cluster_formula(pattern: ClusterPattern, t_path, t0_path=(),
     cluster variable vanishes at the point).  S is the skew-symmetrizer
     of R*B_{t0}.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
     t_path = tuple(t_path)
     t0_path = tuple(t0_path)
     based = pattern.rebase(t0_path) if t0_path else pattern

@@ -116,9 +116,6 @@ class TropicalSemifield:
             exps[self._index[name]] += e
         return SemifieldElement(self, tuple(exps))
 
-    def group_ring_zero(self) -> "GroupRingElement":
-        return GroupRingElement(self, {})
-
     def group_ring_one(self) -> "GroupRingElement":
         return GroupRingElement(self, {(0,) * self.ngens: 1})
 

@@ -199,6 +199,15 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "d-trichotomy", "--config", a2,
                  "--depth", "2"]) == 2
     assert main(["mutate", "--config", a2, "--path", "9"]) == 2
+    # a limit that leaves nothing to check is refused, not passed
+    assert main(["verify", "cluster-formula", "--config", a2, "--path", "1",
+                 "--trials", "0"]) == 2
+    assert main(["explore", "--config", a2, "--max-vertices", "0"]) == 2
+    assert main(["explore", "--config", a2, "--depth", "-1"]) == 2
+    pair = write(tmp_path, "pair.json", PAIR2)
+    for check in ("bijection", "d-equality"):
+        assert main(["verify", check, "--config", pair,
+                     "--horizon", "-1"]) == 2
     capsys.readouterr()
 
 

@@ -17,8 +17,7 @@ def pair2():
 
 def test_make_pair_default_companion(pair2):
     assert pair2.right.b0.rows == ((0, 1), (-2, 0))
-    assert pair2.right.pair.is_classic()
-    assert pair2.companion_product() == ((0, 1), (-2, 0))
+    assert pair2.right.pair.degrees == (1, 1)
 
 
 def test_make_pair_explicit_partner_accepted(gen2):

@@ -37,6 +37,9 @@ GEN2_COEFF = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1],
               "semifield": ["u", "v"], "y": ["u", "v^-1"],
               "z": {"1": ["u*v"]}}
 PRIN_GEN2 = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1], "principal": True}
+# type D5: 25 variables, past what a scan of every subset can reach
+D5 = {"b": [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 1],
+            [0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]}
 PAIR2 = {"left": {"b": [[0, 1], [-1, 0]], "degrees": [2, 1]},
          "right": {"b": [[0, 1], [-2, 0]]}}
 
@@ -62,6 +65,8 @@ CASES = {
                                        "--depth", "12"]),
     "verify_a3_compatible.json": (A3, ["verify", "compatible-sets",
                                        "--depth", "12"]),
+    "verify_d5_compatible.json": (D5, ["verify", "compatible-sets",
+                                       "--max-vertices", "1000"]),
     "verify_pair_d_equality.json": (PAIR2, ["verify", "d-equality",
                                             "--horizon", "5"]),
     "verify_pair_bijection.json": (PAIR2, ["verify", "bijection",

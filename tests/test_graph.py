@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -9,7 +10,8 @@ from gencluster import (ClusterPattern, InconsistentDegreeTransportError, Seed,
                         verify_compatible_sets, verify_connected_subgraph,
                         verify_dvector_trichotomy,
                         verify_initial_cluster_recovery)
-from gencluster.graph import VertexRecord, _verify_dedup_transport
+from gencluster.graph import (CanonicalSeed, ExchangeGraph, VerificationReport,
+                              VertexRecord, _verify_dedup_transport)
 
 
 # ---- canonical form ----
@@ -130,6 +132,9 @@ def test_resume_after_vertex_cap_matches_one_shot():
 
 # type D4: node 2 joined to the other three
 D4 = [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]]
+# type D5: the chain 1-2-3-4 with node 5 also joined to node 3
+D5 = [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 1],
+      [0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]
 
 
 @pytest.mark.parametrize("rows,degrees,count", [
@@ -224,6 +229,111 @@ def test_compatible_sets_needs_complete_graph(gen2):
     t = explore(gen2, vertex_limit=3)
     with pytest.raises(ValueError):
         verify_compatible_sets(t)
+
+
+def _subset_scan(graph):
+    """The compatible-set check as a scan of every subset of the
+    variables with a pairwise test on each: a reference for graphs of at
+    most 20 variables."""
+    ids = {}
+    var_at = [tuple(ids.setdefault(s, len(ids)) for s in rec.canon.serials)
+              for rec in graph.vertices]
+    nval = len(ids)
+    assert nval <= 20
+    comp = {(a, b) for row in var_at for a in row for b in row}
+    clusters = {frozenset(row) for row in var_at}
+
+    violations = []
+    compatible_count = 0
+    maximal = set()
+    for mask in range(1 << nval):
+        members = [a for a in range(nval) if mask >> a & 1]
+        if any((members[p], members[q]) not in comp
+               for p in range(len(members)) for q in range(p + 1, len(members))):
+            continue
+        compatible_count += 1
+        sub = frozenset(members)
+        if not any(sub <= c for c in clusters):
+            violations.append({"kind": "not-in-a-cluster", "set": sorted(sub)})
+        is_max = all(any((a, b) not in comp for a in members)
+                     for b in range(nval) if b not in sub)
+        if is_max and members:
+            maximal.add(sub)
+            if sub not in clusters:
+                violations.append({"kind": "maximal-not-a-cluster",
+                                   "set": sorted(sub)})
+    for c in clusters:
+        if c not in maximal:
+            violations.append({"kind": "cluster-not-maximal", "set": sorted(c)})
+    return VerificationReport(
+        "compatible-sets", not violations, True, 1 << nval, violations,
+        {"variables": nval, "compatible_sets": compatible_count,
+         "maximal_sets": len(maximal), "clusters": len(clusters)})
+
+
+def _fabricated(pattern, clusters):
+    """A complete graph of rank-2 vertices with the given clusters; the
+    compatible-set check reads nothing else."""
+    graph = ExchangeGraph(pattern)
+    nv = len(clusters)
+    for v, serials in enumerate(clusters):
+        canon = CanonicalSeed(repr(serials), (0, 1), serials)
+        graph.vertices.append(VertexRecord(v, canon, None, ()))
+        graph.succ.append([((v + 1) % nv, (0, 1)), ((v + 2) % nv, (0, 1))])
+    return graph
+
+
+def _triangle(pattern):
+    """Clusters {a,b}, {b,c} and {a,c}: {a,b,c} is pairwise compatible
+    but in no cluster."""
+    return _fabricated(pattern, (("a", "b"), ("b", "c"), ("a", "c")))
+
+
+def test_compatible_sets_match_subset_scan(a2, a2_graph, gen2_graph,
+                                           a3_graph, gen3_graph):
+    # every pair of four variables is a cluster: five violating sets
+    pairs = _fabricated(a2, list(itertools.combinations("abcd", 2)))
+    # the walk reaches cliques in the scan's mask order, so even the
+    # order of the violations agrees
+    for graph in (a2_graph, gen2_graph, a3_graph, gen3_graph, _triangle(a2),
+                  pairs):
+        assert (verify_compatible_sets(graph).to_json_dict()
+                == _subset_scan(graph).to_json_dict())
+
+
+def test_compatible_sets_flag_a_triangle(a2):
+    rep = verify_compatible_sets(_triangle(a2))
+    assert not rep.passed
+    assert sorted(v["kind"] for v in rep.violations) == [
+        "cluster-not-maximal"] * 3 + ["maximal-not-a-cluster",
+                                      "not-in-a-cluster"]
+    assert {"kind": "not-in-a-cluster", "set": [0, 1, 2]} in rep.violations
+    assert {"kind": "maximal-not-a-cluster", "set": [0, 1, 2]} in rep.violations
+    assert rep.details == {"variables": 3, "compatible_sets": 8,
+                           "maximal_sets": 1, "clusters": 3}
+
+
+def test_compatible_sets_beyond_twenty_variables():
+    graph = explore(ClusterPattern.build(D5), vertex_limit=1000)
+    assert graph.complete and graph.vertex_count() == 182
+    rep = verify_compatible_sets(graph)
+    assert rep.passed and rep.checked == 1 << 25
+    assert rep.details["variables"] == 25
+    assert rep.details["maximal_sets"] == rep.details["clusters"] == 182
+    # the compatible sets are the subsets of the clusters
+    faces = {frozenset(sub) for rec in graph.vertices
+             for r in range(len(rec.canon.serials) + 1)
+             for sub in itertools.combinations(rec.canon.serials, r)}
+    assert rep.details["compatible_sets"] == len(faces) == 1233
+
+
+def test_compatible_sets_of_rank_zero():
+    # the empty cluster is the one maximal compatible set
+    rep = verify_compatible_sets(explore(ClusterPattern.build([]),
+                                         depth_limit=1))
+    assert rep.passed
+    assert rep.details == {"variables": 0, "compatible_sets": 1,
+                           "maximal_sets": 1, "clusters": 1}
 
 
 def test_initial_cluster_recovery(a2_graph, gen2_graph, a3_graph):

@@ -12,7 +12,8 @@ import re
 
 import pytest
 
-from gencluster import LaurentPolynomial, NotLaurentError, TropicalSemifield
+from gencluster import (GroupRingElement, LaurentPolynomial, NotLaurentError,
+                        TropicalSemifield)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.fields import field  # noqa: E402
@@ -37,7 +38,7 @@ def same(element, expr):
 
 
 def rand_group_ring(rng):
-    out = P.group_ring_zero()
+    out = GroupRingElement(P, {})
     for _ in range(rng.randint(1, 3)):
         exps = (rng.randint(-2, 2), rng.randint(-2, 2))
         out = out + P.monomial(exps).as_group_ring(rng.randint(-3, 3))

@@ -118,12 +118,9 @@ def test_mutation_pair_validation():
         MutationPair(P, (3, 1), [(w, P.one()), ()])  # not reciprocal
     with pytest.raises(TypeError):
         MutationPair(P, (2, 1), [("w",), ()])
-    Q = TropicalSemifield(("w",))
     pair = MutationPair(P, (3, 1), [(w, w), ()])
     assert pair.poly_coeffs(0) == (P.one(), w, w, P.one())
     assert pair.poly_coeffs(1) == (P.one(), P.one())
-    assert MutationPair(Q, (1, 1)).is_classic()
-    assert not pair.is_classic()
 
 
 # ---- seed mutation ----
