@@ -1,14 +1,24 @@
 r"""Exchange graphs: canonical seeds, exploration, theorem checkers.
 
 Two seeds are equivalent when a permutation simultaneously relabels the
-cluster, the coefficients and both indices of the exchange matrix.  The
-canonical form sorts the cluster by its (faithful, deterministic) text
-rendering, so equivalent seeds canonicalize identically; the dedup key
-additionally carries the exchange degrees and interior coefficients
-transported along the sort, which equivalent seeds of one pattern must
-agree on.  Every dedup hit re-verifies the full transport on the actual
-seeds and raises InconsistentDegreeTransportError if the degree data
-fails to follow the permutation (that would be an engine bug, not data).
+cluster, the coefficients and both indices of the exchange matrix.  An
+exploration interns every cluster variable of its stored seeds under an
+int id, in one dict keyed by the polynomial itself (its hash and exact
+equality), so a seed's variables are a tuple of ids and mutating in
+direction k changes only id k.  The dedup key is one flat tuple of ints:
+the sorted ids, then the exchange matrix, the coefficient exponents, the
+exchange degrees and the interior-coefficient exponents, each permuted
+the same way; equivalent seeds of one pattern must agree on the degree
+data.
+Ids are given in vertex order, so two explorations of one pattern that
+store the same vertices give the same keys.  Every dedup hit re-verifies
+the full transport on the actual seeds and raises
+InconsistentDegreeTransportError if the degree data fails to follow the
+permutation (that would be an engine bug, not data).
+
+Each stored vertex also carries the text canonical form of its seed (the
+cluster sorted by rendering), built once when the vertex is stored: its
+key is what ``key_hash`` reports, and the checks read its renderings.
 
 The graph is a transition table: ``succ[v][k] = (w, sigma)`` says that
 mutating vertex v's seed in direction k gives vertex w's seed relabeled
@@ -17,8 +27,10 @@ by sigma (position i of the mutated seed is position sigma[i] at w), and
 breadth-first walk (FIFO queue, ascending directions) with optional
 depth and vertex limits.  A limit leaves slots empty: the graph is
 complete exactly when every slot is filled, and its frontier is the
-vertices with an empty slot.  Resuming refills exactly the empty slots,
-in the order an uninterrupted walk would have filled them, so a resumed
+vertices with an empty slot.  A slot left empty at the vertex limit
+keeps the seed its mutation gave (``pending``).  Resuming refills
+exactly the empty slots, in the order an uninterrupted walk would have
+filled them and from the kept seeds where there are any, so a resumed
 graph equals the one explored in one go under the final limits.
 """
 
@@ -50,7 +62,10 @@ class CanonicalSeed:
 
 
 def canonical_form(seed: Seed, pair: MutationPair) -> CanonicalSeed:
-    """Sort the cluster by serialization; build the dedup key.
+    """Sort the cluster by serialization; build the text key.
+
+    ``explore`` dedups on interned ids and calls this once per stored
+    vertex, for ``key_hash`` and the renderings the checks read.
 
     Cluster variables of one seed form a free generating set and are
     pairwise distinct, so the sort has no ties; a tie means the engine
@@ -82,14 +97,17 @@ class VertexRecord:
     canon: CanonicalSeed
     reached: Seed          # the seed exactly as produced along `path`
     path: tuple            # 0-based tree address of the representative
+    ids: tuple             # interned id of each cluster variable of `reached`
 
 
 @dataclass
 class ExchangeGraph:
     pattern: ClusterPattern
     vertices: list = field(default_factory=list)
-    key_to_index: dict = field(default_factory=dict)
+    key_to_index: dict = field(default_factory=dict)   # int dedup key -> vertex
     succ: list = field(default_factory=list)   # succ[v][k] = (w, sigma) or None
+    var_ids: dict = field(default_factory=dict)   # cluster variable -> id
+    pending: dict = field(default_factory=dict)   # (v, k) -> seed kept at the cap
 
     @property
     def frontier(self):
@@ -155,20 +173,17 @@ class ExchangeGraph:
         return "\n".join(lines) + "\n"
 
 
-def _verify_dedup_transport(stored: VertexRecord, new_seed: Seed,
-                            new_canon: CanonicalSeed, pair: MutationPair):
+def _verify_dedup_transport(stored: VertexRecord, new_seed: Seed, new_ids,
+                            pair: MutationPair):
     """Re-verify the seed equivalence behind a dedup hit.
 
+    ``new_ids`` are the interned ids of ``new_seed``'s variables.
     Returns the composed permutation sigma, which sends index i of the
     new seed to the index of the stored representative holding the same
-    variable; the whole seed triple and the degree data must follow it.
+    id; the whole seed triple and the degree data must follow it.
     """
     n = new_seed.n
-    perm_s = stored.canon.perm
-    perm_n = new_canon.perm
-    sigma = [0] * n
-    for p in range(n):
-        sigma[perm_n[p]] = perm_s[p]
+    sigma = tuple(map(stored.ids.index, new_ids))
     for i in range(n):
         j = sigma[i]
         if new_seed.x[i] != stored.reached.x[j] or new_seed.y[i] != stored.reached.y[j]:
@@ -177,12 +192,12 @@ def _verify_dedup_transport(stored: VertexRecord, new_seed: Seed,
                 or pair.frozen[i] != pair.frozen[j]):
             raise InconsistentDegreeTransportError(
                 "equivalent seeds fail to transport exchange degrees along %r"
-                % (tuple(sigma),))
+                % (sigma,))
     for i in range(n):
         for j in range(n):
             if new_seed.B.rows[i][j] != stored.reached.B.rows[sigma[i]][sigma[j]]:
                 raise RuntimeError("canonical key collision: matrices differ")
-    return tuple(sigma)
+    return sigma
 
 
 def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
@@ -201,22 +216,46 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
     pair = pattern.pair
     n = pattern.n
     identity = tuple(range(n))
+    zexps = tuple(tuple(e for z in zs for e in z.exponents) for zs in pair.frozen)
+
+    def dedup_key(seed, ids):
+        # one flat tuple; every block has a fixed length except the z
+        # block, which the degree block before it splits
+        perm = sorted(identity, key=ids.__getitem__)
+        rows, y = seed.B.rows, seed.y
+        return (*(ids[i] for i in perm),
+                *(rows[i][j] for i in perm for j in perm),
+                *(e for i in perm for e in y[i].exponents),
+                *(pair.degrees[i] for i in perm),
+                *(e for i in perm for e in zexps[i]))
 
     g = ExchangeGraph(pattern)
+    var_ids = g.var_ids
+
+    def store(seed, ids, path, key):
+        j = len(g.vertices)
+        g.vertices.append(VertexRecord(j, canonical_form(seed, pair), seed,
+                                       path, ids))
+        g.key_to_index[key] = j
+        g.succ.append([None] * n)
+        queue.append(j)
+        return j
+
     if resume is not None:
         if resume.pattern != pattern:
             raise ValueError("resume graph belongs to a different pattern")
         g.vertices = list(resume.vertices)
         g.key_to_index = dict(resume.key_to_index)
         g.succ = [list(row) for row in resume.succ]
+        var_ids.update(resume.var_ids)
+        g.pending = dict(resume.pending)
         queue = deque(resume.frontier)
     else:
+        queue = deque()
         init = pattern.initial_seed()
-        canon = canonical_form(init, pair)
-        g.vertices.append(VertexRecord(0, canon, init, ()))
-        g.key_to_index[canon.key] = 0
-        g.succ.append([None] * n)
-        queue = deque([0])
+        for v in init.x:
+            var_ids[v] = len(var_ids)
+        store(init, identity, (), dedup_key(init, identity))
 
     while queue:
         vi = queue.popleft()
@@ -227,20 +266,32 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
         for k in range(n):
             if row[k] is not None:
                 continue
-            new_seed = mutate_seed(rec.reached, pair, k)
-            canon = canonical_form(new_seed, pair)
-            j = g.key_to_index.get(canon.key)
+            new_seed = g.pending.pop((vi, k), None)
+            if new_seed is None:
+                new_seed = mutate_seed(rec.reached, pair, k)
+            x_new = new_seed.x[k]
+            vid = var_ids.get(x_new)
+            j = None
+            if vid is not None:
+                if vid != rec.ids[k] and vid in rec.ids:
+                    raise RuntimeError(
+                        "cluster variables of a single seed must be distinct")
+                ids = rec.ids[:k] + (vid,) + rec.ids[k + 1:]
+                key = dedup_key(new_seed, ids)
+                j = g.key_to_index.get(key)
             if j is None:
                 if vertex_limit is not None and len(g.vertices) >= vertex_limit:
+                    g.pending[vi, k] = new_seed
                     continue
-                j = len(g.vertices)
-                g.vertices.append(VertexRecord(j, canon, new_seed, rec.path + (k,)))
-                g.key_to_index[canon.key] = j
-                g.succ.append([None] * n)
-                queue.append(j)
+                if vid is None:
+                    # no stored seed holds x_new, so none equals new_seed
+                    ids = rec.ids[:k] + (len(var_ids),) + rec.ids[k + 1:]
+                    var_ids[x_new] = len(var_ids)
+                    key = dedup_key(new_seed, ids)
+                j = store(new_seed, ids, rec.path + (k,), key)
                 sigma = identity
             else:
-                sigma = _verify_dedup_transport(g.vertices[j], new_seed, canon, pair)
+                sigma = _verify_dedup_transport(g.vertices[j], new_seed, ids, pair)
             row[k] = (j, sigma)
     return g
 

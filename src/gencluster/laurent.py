@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import DimensionError, EvaluationError
 from .semifield import (GroupRingElement, SemifieldElement, TropicalSemifield,
@@ -179,10 +180,22 @@ class LaurentPolynomial:
     def scalar_mul(self, c):
         """Multiply by an int, SemifieldElement or GroupRingElement; by
         the unit it returns self."""
+        if isinstance(c, SemifieldElement):
+            _check_same_semifield(self, c)
+            return self._unit_mul(c.exponents)
         c = LaurentPolynomial.constant(self.rank, self.semifield, c)
         if c.is_one():
             return self
         return self._result(mul_terms(self._terms, c._terms))
+
+    def _unit_mul(self, uexps):
+        """Multiply by the unit u^uexps of ZP: shift the u-part of every
+        flat term; returns self for the unit."""
+        if not any(uexps):
+            return self
+        n = self.rank
+        return self._result({e[:n] + tuple(map(add, e[n:], uexps)): c
+                             for e, c in self._terms.items()})
 
     def __pow__(self, n: int):
         n = int(n)
@@ -193,7 +206,9 @@ class LaurentPolynomial:
             if c != 1:
                 raise ValueError("negative power needs an invertible coefficient")
             return self._result({tuple(e * n for e in exps): 1})
-        return power(self, n, LaurentPolynomial.one(self.rank, self.semifield))
+        if n == 0:
+            return LaurentPolynomial.one(self.rank, self.semifield)
+        return power(self, n)
 
     # ---- division ----
 

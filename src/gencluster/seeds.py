@@ -28,6 +28,14 @@ denominators first: with U = y_k prod x_i^{[b_{ik}]_+} and
 V = prod x_i^{[-b_{ik}]_+} the numerator is the genuine Laurent
 polynomial sum_s z_{k,s} U^s V^{r_k - s}, divided exactly by x_k and by
 the tropical monomial Z_k|_P(y_k).  Indices are 0-based in this API.
+
+The coefficients mutate as plain integer vectors (Fomin-Zelevinsky,
+Cluster algebras IV; Nakanishi 2015 for the generalized case).  Writing
+each semifield element by its exponent vector, Z_k|_P(y_k) is the
+componentwise minimum over 0 <= s <= r_k of z_{k,s} + s*y_k (with
+z_{k,0} = z_{k,r_k} = 0), y_k' = -y_k, and for i != k
+
+    y_i' = y_i + r_k [b_{ki}]_+ y_k - b_{ki} Z_k|_P(y_k).
 """
 
 from __future__ import annotations
@@ -42,8 +50,7 @@ from fractions import Fraction
 from . import matrices as mat
 from .errors import DimensionError, NotSkewSymmetrizableError
 from .laurent import LaurentPolynomial
-from .semifield import (SemifieldElement, TropicalSemifield,
-                        eval_poly_tropical)
+from .semifield import SemifieldElement, TropicalSemifield
 
 
 def find_skew_symmetrizer(rows):
@@ -237,30 +244,36 @@ class Seed:
                 "y": [str(c) for c in self.y]}
 
 
-def _pos(v):
-    return v if v > 0 else 0
-
-
 def mutate_matrix(B: ExchangeMatrix, pair, k: int) -> ExchangeMatrix:
     """Matrix mutation in direction k with exchange degrees r.
 
     b'_{ij} = -b_{ij} when i = k or j = k, otherwise
-    b'_{ij} = b_{ij} + r_k (b_{ik} [-b_{kj}]_+ + [b_{ik}]_+ b_{kj}).
+    b'_{ij} = b_{ij} + r_k (b_{ik} [-b_{kj}]_+ + [b_{ik}]_+ b_{kj}),
+    that is b_{ij} + b_{ik} r_k [b_{kj}]_+ when b_{ik} > 0 and
+    b_{ij} + b_{ik} r_k [-b_{kj}]_+ when b_{ik} < 0; a row with
+    b_{ik} = 0 is kept.
 
     Mutation keeps B's skew-symmetrizer S, so the result carries S after
     an O(n^2) check that S*B' is skew-symmetric.
     """
     degrees = pair.degrees if isinstance(pair, MutationPair) else tuple(pair)
-    n = B.n
-    if not 0 <= k < n:
+    if not 0 <= k < B.n:
         raise IndexError("mutation direction out of range")
     rk = degrees[k]
-    b = B.rows
-    new = tuple(tuple(-b[i][j] if i == k or j == k
-                      else b[i][j] + rk * (b[i][k] * _pos(-b[k][j])
-                                           + _pos(b[i][k]) * b[k][j])
-                      for j in range(n))
-                for i in range(n))
+    row_k = B.rows[k]
+    up = [rk * v if v > 0 else 0 for v in row_k]       # r_k [b_kj]_+
+    down = [-rk * v if v < 0 else 0 for v in row_k]    # r_k [-b_kj]_+
+    new = []
+    for i, row in enumerate(B.rows):
+        bik = row[k]
+        if i == k:
+            row = tuple(-v for v in row)
+        elif bik:
+            out = [v + bik * a for v, a in zip(row, up if bik > 0 else down)]
+            out[k] = -bik
+            row = tuple(out)
+        new.append(row)
+    new = tuple(new)
     if not mat.is_skew_symmetric(mat.scale_rows(B.symmetrizer, new)):
         raise NotSkewSymmetrizableError("mutation lost the skew-symmetrizer")
     return ExchangeMatrix._derived(new, B.symmetrizer)
@@ -278,26 +291,38 @@ def check_classic_compat(B: ExchangeMatrix, pair: MutationPair, k: int) -> bool:
 def _exchange_monomials(seed: Seed, k: int):
     """U = y_k prod_i x_i^{[b_{ik}]_+} and V = prod_i x_i^{[-b_{ik}]_+}."""
     col = seed.B.column(k)
-    one = LaurentPolynomial.one(seed.n, seed.y[k].semifield)
-    u = _product([seed.x[i] ** b for i, b in enumerate(col) if b > 0], one)
-    v = _product([seed.x[i] ** -b for i, b in enumerate(col) if b < 0], one)
+    u = _product([seed.x[i] ** b for i, b in enumerate(col) if b > 0], seed)
+    v = _product([seed.x[i] ** -b for i, b in enumerate(col) if b < 0], seed)
     return u.scalar_mul(seed.y[k]), v
 
 
-def _product(factors, one):
-    """The product of a list of factors; ``one`` is never multiplied in."""
-    return functools.reduce(operator.mul, factors) if factors else one
+def _product(factors, seed: Seed):
+    """The product of a list of factors; the unit is built only for an
+    empty list and never multiplied in."""
+    if not factors:
+        return LaurentPolynomial.one(seed.n, seed.y[0].semifield)
+    return functools.reduce(operator.mul, factors)
 
 
 def _mutate_coefficients(y, row, pair: MutationPair, k: int):
-    """y mutated in direction k (``row`` is row k of B) and the unit
-    Z_k|_P(y_k) of ZP."""
+    """y mutated in direction k (``row`` is row k of B) and the exponent
+    vector of the unit Z_k|_P(y_k) of ZP, on exponent vectors (see the
+    module docstring).  Coefficients with b_{ki} = 0 are kept as they
+    are; each changed one is wrapped once."""
     rk = pair.degrees[k]
-    trop = eval_poly_tropical(pair.poly_coeffs(k), y[k])
-    new = tuple(y[k].inverse() if i == k
-                else y[i] * (y[k] ** _pos(row[i])) ** rk * trop ** (-row[i])
-                for i in range(len(y)))
-    return new, trop
+    yk = y[k].exponents
+    trop = tuple(min(0, rk * e) for e in yk)
+    for s, z in enumerate(pair.frozen[k], 1):
+        trop = tuple(min(t, ze + s * e) for t, ze, e in zip(trop, z.exponents, yk))
+    new = list(y)
+    for i, b in enumerate(row):
+        if i == k:
+            new[i] = y[k].inverse()
+        elif b:
+            up = rk * b if b > 0 else 0
+            new[i] = y[i]._result(tuple(
+                yi + up * e - b * t for yi, e, t in zip(y[i].exponents, yk, trop)))
+    return tuple(new), trop
 
 
 def hat_y(seed: Seed, k: int) -> LaurentPolynomial:
@@ -329,7 +354,7 @@ def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
         numerator = numerator + (u_pows[s] * v_pows[rk - s]).scalar_mul(coeffs[s])
 
     y_new, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
-    x_new = numerator.exact_div(seed.x[k]).scalar_mul(trop.inverse())
+    x_new = numerator.exact_div(seed.x[k])._unit_mul(tuple(-t for t in trop))
 
     xs = list(seed.x)
     xs[k] = x_new

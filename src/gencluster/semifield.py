@@ -146,6 +146,13 @@ class SemifieldElement:
         if len(self.exponents) != semifield.ngens:
             raise DimensionError("exponent vector has wrong length")
 
+    def _result(self, exponents):
+        """Wrap an exponent tuple of ints of the right length over the
+        same semifield (operation results)."""
+        out = object.__new__(SemifieldElement)
+        out.semifield, out.exponents = self.semifield, exponents
+        return out
+
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
@@ -153,24 +160,20 @@ class SemifieldElement:
         if not isinstance(other, SemifieldElement):
             return NotImplemented
         _check_same_semifield(self, other)
-        return SemifieldElement(
-            self.semifield,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return self._result(tuple(map(add, self.exponents, other.exponents)))
 
     def inverse(self) -> "SemifieldElement":
-        return SemifieldElement(self.semifield, tuple(-e for e in self.exponents))
+        return self._result(tuple(-e for e in self.exponents))
 
     def __pow__(self, n: int):
         n = int(n)
-        return SemifieldElement(self.semifield, tuple(e * n for e in self.exponents))
+        return self._result(tuple(e * n for e in self.exponents))
 
     def tropical_add(self, other: "SemifieldElement") -> "SemifieldElement":
         if not isinstance(other, SemifieldElement):
             raise TypeError("tropical_add expects a SemifieldElement")
         _check_same_semifield(self, other)
-        return SemifieldElement(
-            self.semifield,
-            tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return self._result(tuple(map(min, self.exponents, other.exponents)))
 
     def as_group_ring(self, coeff: int = 1) -> "GroupRingElement":
         if coeff == 0:
@@ -202,25 +205,6 @@ class SemifieldElement:
 
     def __repr__(self):
         return "SemifieldElement(%s)" % (str(self),)
-
-
-def eval_poly_tropical(coeffs, arg: SemifieldElement) -> SemifieldElement:
-    """Tropically evaluate ``sum_s coeffs[s] * arg^s``.
-
-    ``coeffs`` is the coefficient list (c_0, ..., c_r) of an exchange
-    polynomial; c_0 = c_r = 1 is required there, and this routine checks
-    nothing beyond nonemptiness so it can also fold arbitrary monomial
-    lists.
-    """
-    coeffs = list(coeffs)
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    acc = coeffs[0]
-    power = None
-    for c in coeffs[1:]:
-        power = arg if power is None else power * arg
-        acc = acc.tropical_add(c * power)
-    return acc
 
 
 # ---- sparse arithmetic over Z on term dicts ----
@@ -389,9 +373,8 @@ def exact_div_terms(num: dict, den: dict) -> dict:
             for qkey, qc in quot}
 
 
-def power(base, n: int, one):
-    """base ** n for an int n >= 0 by repeated squaring; ``one`` is the
-    unit, returned for n = 0 and never multiplied in."""
+def power(base, n: int):
+    """base ** n for an int n >= 1 by repeated squaring."""
     result = None
     while n:
         if n & 1:
@@ -399,7 +382,7 @@ def power(base, n: int, one):
         n >>= 1
         if n:
             base = base * base
-    return one if result is None else result
+    return result
 
 
 def evaluate_terms(terms: dict, vals) -> Fraction:
@@ -565,7 +548,9 @@ class GroupRingElement:
             if self.is_monomial():
                 return self.monomial_part().__pow__(n).as_group_ring()
             raise ValueError("negative power of a non-unit group ring element")
-        return power(self, n, GroupRingElement.from_int(self.semifield, 1))
+        if n == 0:
+            return GroupRingElement.from_int(self.semifield, 1)
+        return power(self, n)
 
     def exact_div(self, den) -> "GroupRingElement":
         """Exact division in ZP; raises NotLaurentError on any remainder."""

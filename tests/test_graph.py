@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from gencluster import (ClusterPattern, InconsistentDegreeTransportError, Seed,
-                        UnknownVariableError, canonical_form, compatibility,
-                        explore, verify_all_connected_subgraphs,
+import gencluster.graph as graph_module
+from gencluster import (ClusterPattern, InconsistentDegreeTransportError,
+                        LaurentPolynomial, Seed, UnknownVariableError,
+                        canonical_form, compatibility, explore,
+                        verify_all_connected_subgraphs,
                         verify_compatible_sets, verify_connected_subgraph,
                         verify_dvector_trichotomy,
                         verify_initial_cluster_recovery)
 from gencluster.graph import (CanonicalSeed, ExchangeGraph, VerificationReport,
                               VertexRecord, _verify_dedup_transport)
+from gencluster.seeds import mutate_seed
 
 
 # ---- canonical form ----
@@ -63,14 +66,22 @@ def test_random_relabelings_share_a_key(a3):
 
 def test_dedup_transport_flags_degree_mismatch(gen2):
     s0 = gen2.initial_seed()
-    stored = VertexRecord(0, canonical_form(s0, gen2.pair), s0, ())
+    stored = VertexRecord(0, canonical_form(s0, gen2.pair), s0, (), (0, 1))
     swapped = Seed(type(s0.B)(((0, -1), (1, 0))), (s0.x[1], s0.x[0]),
                    (s0.y[1], s0.y[0]))
-    canon = canonical_form(swapped, gen2.pair)
     # the permutation relating the seeds swaps a degree-2 direction with
     # a degree-1 one, which valid exploration data can never produce
     with pytest.raises(InconsistentDegreeTransportError):
-        _verify_dedup_transport(stored, swapped, canon, gen2.pair)
+        _verify_dedup_transport(stored, swapped, (1, 0), gen2.pair)
+
+
+def test_dedup_transport_flags_a_different_variable(a2):
+    # ids that claim equal variables must name equal polynomials
+    s0 = a2.initial_seed()
+    stored = VertexRecord(0, canonical_form(s0, a2.pair), s0, (), (0, 1))
+    other = a2.seed_at((0,))
+    with pytest.raises(RuntimeError):
+        _verify_dedup_transport(stored, other, (0, 1), a2.pair)
 
 
 # ---- exploration ----
@@ -114,6 +125,41 @@ def _chain(n):
             for i in range(n)]
 
 
+def test_resume_after_vertex_cap_mutates_each_slot_once(monkeypatch):
+    # the seeds of slots skipped at the cap are kept, so resuming
+    # mutates no slot twice: 42 vertices times 4 directions in all
+    a4 = ClusterPattern.build(_chain(4))
+    full = explore(a4, vertex_limit=1000)
+    calls = []
+
+    def counting(seed, pair, k):
+        calls.append(k)
+        return mutate_seed(seed, pair, k)
+
+    monkeypatch.setattr(graph_module, "mutate_seed", counting)
+    part = explore(a4, vertex_limit=10)
+    resumed = explore(a4, depth_limit=40, vertex_limit=1000, resume=part)
+    assert len(calls) == 168
+    assert resumed.succ == full.succ
+    assert not resumed.pending and part.pending
+
+
+def test_explore_renders_each_new_variable_once(monkeypatch):
+    # the text key is built per stored vertex, and only the one new
+    # variable of a stored vertex is a fresh polynomial
+    renders = []
+    original = LaurentPolynomial._render
+
+    def counting(self):
+        renders.append(1)
+        return original(self)
+
+    monkeypatch.setattr(LaurentPolynomial, "_render", counting)
+    graph = explore(ClusterPattern.build(_chain(4)), vertex_limit=1000)
+    assert graph.complete
+    assert len(renders) <= graph.vertex_count() + 4
+
+
 def test_resume_after_vertex_cap_matches_one_shot():
     # a vertex whose neighbour was dropped at the cap keeps an empty
     # slot, so resuming reaches the whole graph
@@ -137,14 +183,23 @@ D5 = [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 1],
       [0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]
 
 
+def _branched_chain(n):
+    """Type E_n: the chain 1-2-...-(n-1) with node n joined to node 3."""
+    rows = [row + [0] for row in _chain(n - 1)] + [[0] * n]
+    rows[2][n - 1], rows[n - 1][2] = 1, -1
+    return rows
+
+
 @pytest.mark.parametrize("rows,degrees,count", [
     (_chain(2), None, 5), (_chain(3), None, 14), (_chain(4), None, 42),
     (_chain(5), None, 132), (_chain(3), (2, 1, 1), 20),
     (_chain(3), (1, 1, 2), 20), (_chain(2), (3, 1), 8), (D4, None, 50),
-], ids=["A2", "A3", "A4", "A5", "B3", "C3", "G2", "D4"])
+    pytest.param(_branched_chain(6), None, 833, marks=pytest.mark.slow),
+    pytest.param(_branched_chain(7), None, 4160, marks=pytest.mark.slow),
+], ids=["A2", "A3", "A4", "A5", "B3", "C3", "G2", "D4", "E6", "E7"])
 def test_finite_type_cluster_counts(rows, degrees, count):
     graph = explore(ClusterPattern.build(rows, degrees=degrees),
-                    vertex_limit=1000)
+                    vertex_limit=10000)
     n = len(rows)
     assert graph.complete and graph.vertex_count() == count
     for v, row in enumerate(graph.succ):
@@ -278,7 +333,7 @@ def _fabricated(pattern, clusters):
     nv = len(clusters)
     for v, serials in enumerate(clusters):
         canon = CanonicalSeed(repr(serials), (0, 1), serials)
-        graph.vertices.append(VertexRecord(v, canon, None, ()))
+        graph.vertices.append(VertexRecord(v, canon, None, (), ()))
         graph.succ.append([((v + 1) % nv, (0, 1)), ((v + 2) % nv, (0, 1))])
     return graph
 

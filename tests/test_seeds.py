@@ -90,6 +90,13 @@ def test_mutate_matrix_oracles():
         (0, -1, 2), (1, 0, -1), (-2, 1, 0))
 
 
+def test_mutate_matrix_checks_the_carried_symmetrizer():
+    # B = [[0, 2], [-1, 0]] is skew-symmetrized by (1, 2), not (1, 1)
+    b = ExchangeMatrix._derived(((0, 2), (-1, 0)), (1, 1))
+    with pytest.raises(NotSkewSymmetrizableError):
+        mutate_matrix(b, (1, 1), 0)
+
+
 @given(st.integers(0, 10 ** 6))
 def test_mutate_matrix_involution_and_compat(seed):
     rng = random.Random(seed)

@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gencluster import GroupRingElement, NotLaurentError, TropicalSemifield
-from gencluster.semifield import (add_terms, eval_poly_tropical,
-                                  exact_div_terms, mul_terms)
+from gencluster.semifield import add_terms, exact_div_terms, mul_terms
 
 P = TropicalSemifield(("u", "v"))
 U = P.generator("u")
@@ -67,19 +66,6 @@ def test_evaluate_is_multiplicative(a, b, pu, pv):
     point = (pu, pv)
     x, y = elem(a), elem(b)
     assert (x * y).evaluate(point) == x.evaluate(point) * y.evaluate(point)
-
-
-def test_poly_tropical_eval():
-    one = P.one()
-    # coefficient list (1, u, 1): degree-2 reciprocal shape
-    coeffs = (one, U, one)
-    assert eval_poly_tropical(coeffs, V) == P.one()
-    got = eval_poly_tropical(coeffs, V.inverse())
-    assert got == V ** -2
-    # mirrored argument differs by the full power of the argument
-    for arg in (U, U * V ** -3, V ** 2):
-        lhs = eval_poly_tropical(coeffs, arg.inverse())
-        assert lhs == arg ** -2 * eval_poly_tropical(coeffs, arg)
 
 
 # group ring
@@ -183,13 +169,6 @@ def test_group_ring_has_no_zero_divisors():
         if a.is_zero() or b.is_zero():
             continue
         assert not (a * b).is_zero()
-
-
-def test_poly_tropical_identity_case():
-    one = P.one()
-    assert eval_poly_tropical((one, one, one), one) == one
-    with pytest.raises(ValueError):
-        eval_poly_tropical((), U)
 
 
 def test_distinct_semifields_do_not_mix():
