@@ -5,9 +5,16 @@ where ZP is the group ring of a tropical semifield P on generators
 u_1, ..., u_m (see ``semifield``).  Since ZP = Z[u^{\pm1}], that ring is
 simply the Laurent ring over Z in the n + m variables
 (x_1, ..., x_n, u_1, ..., u_m), and that is how elements are stored: one
-term dict (see ``semifield.add_terms``) from exponent tuples of length
-n + m to nonzero ints.  ``terms()`` and ``nterms()`` therefore see flat
-terms ``c * x^a * u^b``; a coefficient in ZP is a rendering notion only.
+term dict keyed by packed ints in the layout of n + m variables, the
+x-exponents in the most significant fields (see ``semifield``: a
+product of monomials is one int addition, a unit of ZP multiplies by
+adding one key to every key, and fields widen when a result could
+overflow them).  ``terms()`` and ``nterms()`` therefore see flat terms
+``c * x^a * u^b``; a coefficient in ZP is a rendering notion only.
+Exponent tuples appear only at the edges: the constructor, ``terms()``,
+rendering, ``denominator_vector``, ``evaluate`` and
+``partial_derivative``.  The per-variable minimal exponents are kept
+once known; division and ``denominator_vector`` both read them.
 
 Conventions used throughout the package:
 
@@ -22,23 +29,20 @@ Conventions used throughout the package:
   has ``d = -e_j`` and every variable with no ``xj`` dependence has
   ``d[j] = 0``.
 
-Exact division is ``semifield.exact_div_terms`` on the flat terms; the
-Laurent phenomenon is what makes it the workhorse of seed mutation, and
-``NotLaurentError`` is the honest failure mode.
+The Laurent phenomenon is what makes exact division the workhorse of
+seed mutation, and ``NotLaurentError`` is the honest failure mode.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .errors import DimensionError, EvaluationError
-from .semifield import (GroupRingElement, SemifieldElement, TropicalSemifield,
-                        _check_same_semifield, _grlex_key, add_terms,
-                        evaluate_terms, exact_div_terms, format_monomial,
-                        format_sum, format_term, format_terms, mul_terms,
-                        power)
+from .semifield import (GroupRingElement, PackedElement, SemifieldElement,
+                        TropicalSemifield, _check_same_semifield,
+                        evaluate_terms, format_monomial, format_sum,
+                        format_term, format_terms, pack_terms, power)
 
 
 @lru_cache(maxsize=None)
@@ -46,10 +50,15 @@ def _xnames(rank):
     return tuple("x%d" % (j + 1) for j in range(rank))
 
 
-class LaurentPolynomial:
-    """Element of the Laurent ring over ZP in ``rank`` cluster variables."""
+class LaurentPolynomial(PackedElement):
+    """Element of the Laurent ring over ZP in ``rank`` cluster variables.
 
-    __slots__ = ("rank", "semifield", "_terms", "_hash", "_str")
+    ``terms()`` lists the flat (exponents, int) pairs, the x-exponents
+    followed by the semifield-generator exponents; ``nterms()`` counts
+    them.
+    """
+
+    __slots__ = ("rank", "semifield", "_hash", "_str")
 
     def __init__(self, rank: int, semifield: TropicalSemifield, terms: dict):
         """Build from a dict {x-exponent tuple: coefficient}.
@@ -80,9 +89,8 @@ class LaurentPolynomial:
                     flat[exps + uexps] = int(k)
         self.rank = rank
         self.semifield = semifield
-        self._terms = flat
-        self._hash = None
-        self._str = None
+        self._terms, self._layout, self._bound = pack_terms(flat, rank + m)
+        self._mins = self._hash = self._str = None
 
     # ---- constructors ----
 
@@ -110,21 +118,6 @@ class LaurentPolynomial:
 
     # ---- inspection ----
 
-    def terms(self):
-        """Flat (exponents, int) pairs; exponents are the x-exponents
-        followed by the semifield-generator exponents."""
-        return self._terms.items()
-
-    def nterms(self):
-        """Number of flat terms c * x^a * u^b."""
-        return len(self._terms)
-
-    def is_zero(self):
-        return not self._terms
-
-    def is_one(self):
-        return self._terms == {(0,) * (self.rank + self.semifield.ngens): 1}
-
     def is_monomial(self):
         """True for a single flat term c * x^a * u^b."""
         return len(self._terms) == 1
@@ -132,48 +125,29 @@ class LaurentPolynomial:
     # ---- ring operations ----
 
     def _operand(self, other):
-        """Flat terms of a ring or coefficient operand, else None."""
+        """A ring or coefficient operand as a LaurentPolynomial, else None."""
         if isinstance(other, LaurentPolynomial):
             if other.rank != self.rank:
                 raise DimensionError("mixed ranks: %d vs %d" % (self.rank, other.rank))
             _check_same_semifield(self, other)
-            return other._terms
+            return other
         if isinstance(other, (int, GroupRingElement, SemifieldElement)):
-            return LaurentPolynomial.constant(self.rank, self.semifield, other)._terms
+            return LaurentPolynomial.constant(self.rank, self.semifield, other)
         return None
 
-    def _result(self, terms):
-        """Wrap a flat term dict that is already clean (ring-op results)."""
+    def _wrap(self, terms, lay, bound):
+        """Wrap a packed term dict that is already clean (ring-op results)."""
         out = object.__new__(LaurentPolynomial)
-        out.rank, out.semifield, out._terms, out._hash, out._str = (
-            self.rank, self.semifield, terms, None, None)
+        out.rank, out.semifield, out._terms, out._layout, out._bound = (
+            self.rank, self.semifield, terms, lay, bound)
+        out._mins = out._hash = out._str = None
         return out
-
-    def __add__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return self._result(add_terms(self._terms, b))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._result({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return self._result(add_terms(self._terms, {e: -c for e, c in b.items()}))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return self._result(mul_terms(self._terms, b))
+        return self._times(b)
 
     __rmul__ = __mul__
 
@@ -186,26 +160,25 @@ class LaurentPolynomial:
         c = LaurentPolynomial.constant(self.rank, self.semifield, c)
         if c.is_one():
             return self
-        return self._result(mul_terms(self._terms, c._terms))
+        return self._times(c)
 
     def _unit_mul(self, uexps):
-        """Multiply by the unit u^uexps of ZP: shift the u-part of every
-        flat term; returns self for the unit."""
+        """Multiply by the unit u^uexps of ZP: one key addition per flat
+        term; returns self for the unit."""
         if not any(uexps):
             return self
-        n = self.rank
-        return self._result({e[:n] + tuple(map(add, e[n:], uexps)): c
-                             for e, c in self._terms.items()})
+        return self._shift((0,) * self.rank + tuple(uexps))
 
     def __pow__(self, n: int):
         n = int(n)
         if n < 0:
             if len(self._terms) != 1:
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
-            (exps, c), = self._terms.items()
+            (exps, c), = self.terms()
             if c != 1:
                 raise ValueError("negative power needs an invertible coefficient")
-            return self._result({tuple(e * n for e in exps): 1})
+            return LaurentPolynomial.one(self.rank, self.semifield)._shift(
+                tuple(e * n for e in exps))
         if n == 0:
             return LaurentPolynomial.one(self.rank, self.semifield)
         return power(self, n)
@@ -220,7 +193,7 @@ class LaurentPolynomial:
         """
         if not isinstance(den, LaurentPolynomial):
             raise TypeError("expected a LaurentPolynomial")
-        return self._result(exact_div_terms(self._terms, self._operand(den)))
+        return self._over(self._operand(den))
 
     def __truediv__(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -235,17 +208,17 @@ class LaurentPolynomial:
         """d[j] = -min_j over the x-exponents of the nonzero terms."""
         if self.is_zero():
             raise ValueError("zero polynomial has no denominator vector")
-        return tuple(-min(e[j] for e in self._terms) for j in range(self.rank))
+        return tuple(-m for m in self._minima()[:self.rank])
 
     def partial_derivative(self, i: int) -> "LaurentPolynomial":
         """Formal partial derivative with respect to x_{i} (0-based)."""
         if not 0 <= i < self.rank:
             raise IndexError("variable index out of range")
         out = {}
-        for e, c in self._terms.items():
+        for e, c in self.terms():
             if e[i]:
                 out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-        return self._result(out)
+        return self._wrap(*pack_terms(out, self._layout.nvars))
 
     def evaluate(self, x_point, semifield_point=()) -> Fraction:
         """Exact evaluation at rational points; x coordinates must be nonzero."""
@@ -257,7 +230,7 @@ class LaurentPolynomial:
         ps = [Fraction(v) for v in semifield_point]
         if len(ps) != self.semifield.ngens:
             raise DimensionError("point has wrong length")
-        return evaluate_terms(self._terms, xs + ps)
+        return evaluate_terms(self.terms(), xs + ps)
 
     # ---- equality, rendering ----
 
@@ -267,6 +240,7 @@ class LaurentPolynomial:
         return (isinstance(other, LaurentPolynomial)
                 and self.rank == other.rank
                 and self.semifield == other.semifield
+                and self._layout is other._layout
                 and self._terms == other._terms)
 
     def __hash__(self):
@@ -285,10 +259,11 @@ class LaurentPolynomial:
         n = self.rank
         xnames, unames = _xnames(n), self.semifield.generators
         groups = {}
-        for exps, c in self._terms.items():
+        for exps, c in self.terms():
             groups.setdefault(exps[:n], []).append((exps[n:], c))
         pieces = []
-        for xexps in sorted(groups, key=_grlex_key, reverse=True):
+        # descending graded-lex order of the x-exponents
+        for xexps in sorted(groups, key=lambda e: (sum(e), e), reverse=True):
             xs = format_monomial(xnames, xexps)
             group = groups[xexps]
             if len(group) > 1:

@@ -254,7 +254,9 @@ def mutate_matrix(B: ExchangeMatrix, pair, k: int) -> ExchangeMatrix:
     b_{ik} = 0 is kept.
 
     Mutation keeps B's skew-symmetrizer S, so the result carries S after
-    an O(n^2) check that S*B' is skew-symmetric.
+    a check that s_i b'_{ij} = -s_j b'_{ji} for row k and every row with
+    b_{ik} != 0, against every column; the other rows are B's own, which
+    satisfied it already.
     """
     degrees = pair.degrees if isinstance(pair, MutationPair) else tuple(pair)
     if not 0 <= k < B.n:
@@ -274,9 +276,14 @@ def mutate_matrix(B: ExchangeMatrix, pair, k: int) -> ExchangeMatrix:
             row = tuple(out)
         new.append(row)
     new = tuple(new)
-    if not mat.is_skew_symmetric(mat.scale_rows(B.symmetrizer, new)):
-        raise NotSkewSymmetrizableError("mutation lost the skew-symmetrizer")
-    return ExchangeMatrix._derived(new, B.symmetrizer)
+    s = B.symmetrizer
+    for i in range(B.n):
+        if i != k and not B.rows[i][k]:
+            continue
+        si = s[i]
+        if any(si * v != -sj * other[i] for v, sj, other in zip(new[i], s, new)):
+            raise NotSkewSymmetrizableError("mutation lost the skew-symmetrizer")
+    return ExchangeMatrix._derived(new, s)
 
 
 def check_classic_compat(B: ExchangeMatrix, pair: MutationPair, k: int) -> bool:

@@ -16,22 +16,29 @@ ZP is the Laurent ring Z[u_1^{\pm1}, ..., u_m^{\pm1}], and the ring
 ZP[x^{\pm1}] of cluster variables is the Laurent ring over Z in the x and
 u variables together.  So this module also holds the one implementation
 of sparse Laurent arithmetic over Z (``add_terms``, ``mul_terms``,
-``exact_div_terms`` on dicts from exponent tuples to nonzero ints) and
-of the monomial rendering; ``GroupRingElement`` and ``laurent``'s
-``LaurentPolynomial`` are thin typed wrappers around them.
+``exact_div_terms``) and of the monomial rendering; ``GroupRingElement``
+and ``laurent``'s ``LaurentPolynomial`` are thin typed wrappers around
+them that share their storage through ``PackedElement``.
 
-Exact division by a polynomial packs exponent vectors into single ints
-for its inner loop (Monagan & Pearce, CASC 2007): one field per
-variable, offset by that variable's minimal exponent, under a top field
-holding the total degree, so int order is graded-lex order and a product
-of monomials is one int addition.  Each field is one bit wider than the
-larger shifted total degree of dividend and divisor; that spare top bit
-is a guard bit, which turns "does the divisor's leading monomial divide
-this one" into one subtraction and one mask.  The width has to cover the
-divisor as well as the dividend, or a divisor of higher degree would
-spill into its neighbouring fields instead of failing the test.  A lazy
-``heapq`` max-heap of these keys yields the leading terms (Johnson 1974).
-Term dicts outside this loop keep exponent tuples.
+Every term dict maps a packed monomial key to a nonzero int.  A
+``Layout`` packs an exponent vector e of k variables at field width w as
+
+    key(e) = deg(e) * 2^(w*k) + sum_i e_i * 2^(w*(k-1-i)),  deg(e) = sum(e):
+
+a total-degree top field over one signed field per variable, the first
+variable most significant.  The map is linear, so a product of monomials
+is one int addition.  While every |e_i| < 2^(w-1) the fields never
+overlap: keys decode uniquely, and int order is graded-lex order, a
+monomial order on the Laurent group (Monagan & Pearce, CASC 2007).
+Every element is stored at the narrowest width of the ladder 32, 64,
+128, ... that holds its exponents, so equal elements have equal term
+dicts and ``==`` and ``hash`` stay dict comparisons.  An operation
+checks one carried bound on its result's exponents, not each term, and
+runs at a wider layout when the result could leave a field (see
+``PackedElement``).  Exact division runs its heap on the stored keys
+(see ``exact_div_terms``).  Exponent tuples appear only at the edges:
+the constructors, ``terms()``, rendering, denominator vectors,
+evaluation and partial derivatives.
 
 Everything here is exact: exponents and coefficients are Python ints,
 numeric evaluation returns ``fractions.Fraction``.
@@ -40,7 +47,10 @@ numeric evaluation returns ``fractions.Fraction``.
 from __future__ import annotations
 
 import heapq
+import struct
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from operator import add, sub
 
 from .errors import DimensionError, EvaluationError, NotLaurentError
@@ -120,7 +130,8 @@ class TropicalSemifield:
         return GroupRingElement(self, {(0,) * self.ngens: 1})
 
     def __eq__(self, other):
-        return isinstance(other, TropicalSemifield) and self.generators == other.generators
+        return self is other or (isinstance(other, TropicalSemifield)
+                                 and self.generators == other.generators)
 
     def __hash__(self):
         return hash(("TropicalSemifield", self.generators))
@@ -207,13 +218,104 @@ class SemifieldElement:
         return "SemifieldElement(%s)" % (str(self),)
 
 
-# ---- sparse arithmetic over Z on term dicts ----
+# ---- packed monomial keys ----
+
+
+FIELD_WIDTH = 32
+DEFAULT_LIMIT = 1 << (FIELD_WIDTH - 1)
+
+
+class Layout:
+    """Packed keys of monomials in ``nvars`` variables at field width
+    ``width`` (see the module docstring); one shared object per pair."""
+
+    __slots__ = ("nvars", "width", "limit", "shifts", "mask", "bias",
+                 "top_shift", "guard", "words")
+
+    def __init__(self, nvars: int, width: int):
+        self.nvars, self.width = nvars, width
+        self.limit = 1 << (width - 1)
+        self.shifts = tuple(width * i for i in range(nvars - 1, -1, -1))
+        self.mask = (1 << width) - 1
+        # adding ``bias`` turns every signed field into limit + e_i >= 0
+        self.bias = sum(self.limit << s for s in self.shifts)
+        self.top_shift = width * nvars
+        self.guard = self.bias | (self.limit << self.top_shift)
+        # where a field is one machine word, one struct call decodes a key
+        code = {32: "i", 64: "q"}.get(width)
+        self.words = struct.Struct(">" + code * nvars) if code else None
+
+    def pack(self, exps) -> int:
+        key = sum(exps)
+        w = self.width
+        for e in exps:
+            key = (key << w) + e
+        return key
+
+    def unpack_all(self, keys) -> list:
+        """The exponent tuples of ``keys``, in order.
+
+        ``(key + bias) ^ bias`` holds each field in two's complement, so
+        below the top field its bytes are the exponents as signed words.
+        """
+        bias = self.bias
+        if self.words is not None:
+            unpack, size = self.words.unpack, self.words.size
+            low = (1 << self.top_shift) - 1
+            return [unpack((((key + bias) ^ bias) & low).to_bytes(size, "big"))
+                    for key in keys]
+        mask, limit, shifts = self.mask, self.limit, self.shifts
+        return [tuple([((key + bias) >> s & mask) - limit for s in shifts])
+                for key in keys]
+
+    def degree(self, key: int) -> int:
+        return (key + self.bias) >> self.top_shift
+
+    def minima(self, keys) -> tuple:
+        """Per-variable minimal exponents over nonempty ``keys``."""
+        return tuple(map(min, zip(*self.unpack_all(keys))))
+
+    def adopt(self, elem: "PackedElement") -> dict:
+        """The term dict of ``elem`` in this layout."""
+        if elem._layout is self:
+            return elem._terms
+        return dict(zip(map(self.pack, elem._layout.unpack_all(elem._terms)),
+                        elem._terms.values()))
+
+
+@lru_cache(maxsize=None)
+def layout(nvars: int, width: int = FIELD_WIDTH) -> Layout:
+    return Layout(nvars, width)
+
+
+def layout_for(nvars: int, bound: int) -> Layout:
+    """The narrowest layout whose fields hold every exponent of absolute
+    value at most ``bound``."""
+    width = FIELD_WIDTH
+    while bound >= 1 << (width - 1):
+        width *= 2
+    return layout(nvars, width)
+
+
+def pack_terms(terms: dict, nvars: int):
+    """(term dict, layout, bound) of a dict from exponent tuples to
+    nonzero ints, at the narrowest layout; ``bound`` is exact."""
+    lay = layout(nvars)
+    bound = max(map(abs, chain.from_iterable(terms)), default=0)
+    if bound >= lay.limit:
+        lay = layout_for(nvars, bound)
+    pack = lay.pack
+    return {pack(e): c for e, c in terms.items()}, lay, bound
+
+
+# ---- sparse arithmetic over Z on packed term dicts ----
 #
-# A term dict maps exponent tuples (all of one length, entries any
-# integers) to nonzero ints: an element of the Laurent ring
-# Z[t_1^{+-1}, ..., t_k^{+-1}].  GroupRingElement (t = u) and
-# LaurentPolynomial (t = x, u) both keep their elements this way and do
-# all their arithmetic through the three functions below.
+# A term dict maps the packed keys of one layout to nonzero ints: an
+# element of the Laurent ring Z[t_1^{+-1}, ..., t_k^{+-1}].
+# GroupRingElement (t = u) and LaurentPolynomial (t = x, u) both keep
+# their elements this way and do all their arithmetic through the three
+# functions below; the caller has chosen a layout whose fields hold the
+# result (see PackedElement).
 
 
 def add_terms(a: dict, b: dict) -> dict:
@@ -229,148 +331,238 @@ def add_terms(a: dict, b: dict) -> dict:
 
 
 def mul_terms(a: dict, b: dict) -> dict:
-    """a * b; a square (``a is b``) forms each cross product once."""
+    """a * b; a square (``a is b``) forms each cross product once.  The
+    product of two monomials is one int addition; cancelled terms are
+    dropped once, at the end."""
     out = {}
     get = out.get
     if a is b:
         items = list(a.items())
         for i, (ei, ci) in enumerate(items):
-            key = tuple(map(add, ei, ei))
-            s = get(key, 0) + ci * ci
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            key = ei + ei
+            out[key] = get(key, 0) + ci * ci
             ci2 = 2 * ci
             for ej, cj in items[i + 1:]:
-                key = tuple(map(add, ei, ej))
-                s = get(key, 0) + ci2 * cj
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return out
-    if len(a) < len(b):
-        a, b = b, a
-    for eb, cb in b.items():
-        for ea, ca in a.items():
-            key = tuple(map(add, ea, eb))
-            s = get(key, 0) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+                key = ei + ej
+                out[key] = get(key, 0) + ci2 * cj
+    else:
+        if len(a) < len(b):
+            a, b = b, a
+        items = list(a.items())
+        for eb, cb in b.items():
+            for ea, ca in items:
+                key = ea + eb
+                out[key] = get(key, 0) + ca * cb
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
     return out
 
 
-def _grlex_key(exps):
-    # graded lexicographic: total degree first, ties broken lexicographically
-    return (sum(exps), exps)
-
-
-def _pack(terms: dict, low, width: int) -> dict:
-    """Packed keys of ``terms`` shifted down by ``low`` (see exact_div_terms)."""
-    out = {}
-    for e, c in terms.items():
-        shifted = tuple(map(sub, e, low))
-        key = sum(shifted)
-        for x in shifted:
-            key = (key << width) | x
-        out[key] = c
-    return out
-
-
-def exact_div_terms(num: dict, den: dict) -> dict:
+def exact_div_terms(num: dict, den: dict, lay: Layout = None,
+                    num_min=None, den_min=None) -> dict:
     """The quotient num / den; raises NotLaurentError on any remainder.
 
-    A one-term divisor divides every coefficient and shifts every
-    exponent.  Otherwise the division runs in the polynomial cone: the
-    divisor is shifted down by its minimal exponents ``den_min`` and the
-    quotient by ``num_min - den_min`` (in each variable the lowest power
-    of a product is the sum of the factors' lowest powers), so every
-    shifted dividend exponent is a shifted quotient exponent plus a
-    shifted divisor exponent, all nonnegative.
+    A one-term divisor divides every coefficient and shifts every key.
+    A divisor of several terms also needs the layout and the operands'
+    per-variable minimal exponents.  The division then runs in the
+    polynomial cone: in each variable the lowest power of a product is
+    the sum of the factors' lowest powers, so shifted down by its
+    minima every dividend exponent is a shifted quotient exponent plus
+    a shifted divisor exponent, all nonnegative.
 
-    Each shifted exponent vector is packed into one int of ``k + 1``
-    fields of ``width`` bits: the total degree in the top field, then the
-    variables in order, so int order is graded-lex order and the sum of
-    two monomials is one int addition.  The top bit of each field is a
-    guard bit that stays zero in every key: ``width`` is one more than
-    the bit length of the larger shifted total degree of the two
-    operands.  Every working key is a quotient term times a divisor term
-    of at most the leading total degree, so no field of the dividend's
-    cone overflows; the divisor's own keys must fit too, which is why
-    the width covers both operands (a divisor of higher degree than the
-    dividend must fail the test below, not spill into the next field).
-
-    The graded-lex leading term of the remainder must be divisible by
-    the divisor's leading term ``dlead`` at every step, which the guard
-    bits test in one subtraction: ``((lead | G) - dlead) & G == G`` with
-    ``G`` the mask of all guard bits (a field that would go negative
-    clears its guard bit and borrows nothing from the next).  The
-    remainder's keys sit in a lazy max-heap; a key whose coefficient has
-    cancelled is skipped when it surfaces, and since the leads strictly
-    decrease a processed key never comes back.  The quotient is unpacked
-    once at the end.
+    The caller chose ``lay`` with ``limit > 2 * max|minimum| + top``,
+    ``top`` the larger shifted total degree of the two operands, so the
+    top bit of every field of a shifted key is a guard bit that stays
+    zero: every working key is a quotient term times a divisor term of
+    at most the leading total degree, and ``top`` covers the divisor's
+    own keys (a divisor of higher degree than the dividend must fail
+    the test below, not spill into the next field).  The graded-lex
+    leading term of the remainder must be divisible by the divisor's
+    leading term ``dlead`` at every step, which the guard bits test in
+    one subtraction on shifted keys: ``((lead | G) - dlead) & G == G``
+    with ``G`` the mask of all guard bits.  The remainder's keys sit in
+    a lazy max-heap; a key whose coefficient has cancelled is skipped
+    when it surfaces, and since the leads strictly decrease a processed
+    key never comes back.
     """
     if not den:
         raise ZeroDivisionError("division by zero")
     if not num:
         return {}
     if len(den) == 1:
-        (dexp, dc), = den.items()
+        (dkey, dc), = den.items()
         out = {}
         for e, c in num.items():
             q, r = divmod(c, dc)
             if r:
                 raise NotLaurentError("coefficient %d not divisible by %d" % (c, dc))
-            out[tuple(map(sub, e, dexp))] = q
+            out[e - dkey] = q
         return out
 
-    num_min = [min(col) for col in zip(*num)]
-    den_min = [min(col) for col in zip(*den)]
-    q_min = tuple(map(sub, num_min, den_min))
-    top = max(max(sum(e) for e in num) - sum(num_min),
-              max(sum(e) for e in den) - sum(den_min))
-    width = top.bit_length() + 1
-    nfields = len(q_min) + 1
-    guard = 0
-    for _ in range(nfields):
-        guard = (guard << width) | (1 << (width - 1))
-
-    work = _pack(num, num_min, width)
-    dterms = _pack(den, den_min, width)
-    dlead = max(dterms)
-    dlc = dterms.pop(dlead)
-    rest = list(dterms.items())
-
-    heap = [-key for key in work]
+    guard = lay.guard
+    num_low = lay.pack(num_min)
+    dlead = max(den)
+    dlead_cone = dlead - lay.pack(den_min)
+    dlc = den[dlead]
+    # heapq is a min-heap, so the remainder is kept under negated keys
+    rest = [(-key, -c) for key, c in den.items() if key != dlead]
+    work = {-key: c for key, c in num.items()}
+    get = work.get
+    heap = list(work)
     heapq.heapify(heap)
-    quot = []
+    pop, push = heapq.heappop, heapq.heappush
+    quot = {}
     while heap:
-        lead = -heapq.heappop(heap)
-        c = work.pop(lead)
+        neg = pop(heap)
+        c = work.pop(neg)
         if not c:
             continue
-        if ((lead | guard) - dlead) & guard != guard:
+        lead = -neg
+        if (((lead - num_low) | guard) - dlead_cone) & guard != guard:
             raise NotLaurentError("leading monomial does not divide")
         qc, r = divmod(c, dlc)
         if r:
             raise NotLaurentError("leading coefficient does not divide")
         qkey = lead - dlead
-        quot.append((qkey, qc))
-        for dkey, dc in rest:
-            key = qkey + dkey
-            if key in work:
-                work[key] -= qc * dc
+        quot[qkey] = qc
+        neg = -qkey
+        for dneg, dc in rest:
+            key = neg + dneg
+            c = get(key)
+            if c is None:
+                work[key] = qc * dc
+                push(heap, key)
             else:
-                work[key] = -qc * dc
-                heapq.heappush(heap, -key)
+                work[key] = c + qc * dc
+    return quot
 
-    mask = (1 << width) - 1
-    shifts = [width * i for i in range(nfields - 2, -1, -1)]
-    return {tuple((qkey >> s & mask) + m for s, m in zip(shifts, q_min)): qc
-            for qkey, qc in quot}
+
+class PackedElement:
+    """Storage and ring arithmetic shared by GroupRingElement and
+    LaurentPolynomial.
+
+    ``_terms`` maps packed keys of ``_layout`` to nonzero ints, at the
+    narrowest layout that holds the exponents; ``_bound`` is an upper
+    bound on every absolute exponent (not canonical: equal elements may
+    carry different bounds); ``_mins`` holds the per-variable minimal
+    exponents once something asked for them.  A subclass wraps results
+    with ``_wrap``.
+
+    ZP and its Laurent rings are integral domains, so in each variable
+    the lowest power of a product is the sum of the factors' lowest
+    powers.  Products, monomial shifts and exact quotients therefore
+    get their minima from their operands' when those are known, and a
+    cluster variable made by mutation never needs decoding for them.
+
+    Every operation bounds the absolute exponents of its result (and of
+    its operands) by one int and compares it once with the default
+    limit.  Below it both operands sit in the default layout, and so
+    does the result; otherwise the operation runs in the narrowest
+    layout that holds the bound and its result moves to its own.
+    """
+
+    __slots__ = ("_terms", "_layout", "_bound", "_mins")
+
+    def _wrap(self, terms, lay, bound):
+        raise NotImplementedError
+
+    def _operands(self, other, bound):
+        """The layout of an operation on self and other whose exponents
+        stay within ``bound``, and both term dicts in it."""
+        if bound < DEFAULT_LIMIT:
+            return self._layout, self._terms, other._terms
+        lay = layout_for(self._layout.nvars, bound)
+        a = lay.adopt(self)
+        return lay, a, a if other is self else lay.adopt(other)
+
+    def _result(self, terms, lay, bound):
+        """Wrap an operation's result computed in ``lay``, moved to its
+        narrowest layout when ``lay`` is wider than the default."""
+        if lay.width > FIELD_WIDTH:
+            terms, lay, bound = pack_terms(
+                dict(zip(lay.unpack_all(terms), terms.values())), lay.nvars)
+        return self._wrap(terms, lay, bound)
+
+    def _minima(self):
+        """Per-variable minimal exponents of a nonzero element, kept."""
+        if self._mins is None:
+            self._mins = self._layout.minima(self._terms)
+        return self._mins
+
+    def terms(self):
+        """List the (exponent tuple, integer coefficient) pairs."""
+        return list(zip(self._layout.unpack_all(self._terms), self._terms.values()))
+
+    def nterms(self) -> int:
+        return len(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_one(self) -> bool:
+        return self._terms == {0: 1}
+
+    def __add__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        bound = max(self._bound, b._bound)
+        lay, ta, tb = self._operands(b, bound)
+        return self._result(add_terms(ta, tb), lay, bound)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        out = self._wrap({e: -c for e, c in self._terms.items()},
+                         self._layout, self._bound)
+        out._mins = self._mins
+        return out
+
+    def __sub__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return self + (-b)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _times(self, other):
+        bound = self._bound + other._bound
+        lay, a, b = self._operands(other, bound)
+        out = self._result(mul_terms(a, b), lay, bound)
+        if self._mins is not None and other._mins is not None:
+            out._mins = tuple(map(add, self._mins, other._mins))
+        return out
+
+    def _shift(self, exps):
+        """Multiply by the monomial with exponent vector ``exps``."""
+        bound = self._bound + max(map(abs, exps), default=0)
+        lay, a, _ = self._operands(self, bound)
+        shift = lay.pack(exps)
+        out = self._result({e + shift: c for e, c in a.items()}, lay, bound)
+        if self._mins is not None:
+            out._mins = tuple(map(add, self._mins, exps))
+        return out
+
+    def _over(self, den):
+        """The exact quotient self / den (see ``exact_div_terms``)."""
+        if len(den._terms) < 2 or not self._terms:
+            bound = self._bound + den._bound
+            lay, a, b = self._operands(den, bound)
+            return self._result(exact_div_terms(a, b), lay, bound)
+        num_min, den_min = self._minima(), den._minima()
+        top = max(self._layout.degree(max(self._terms)) - sum(num_min),
+                  den._layout.degree(max(den._terms)) - sum(den_min))
+        # |exponent| <= |minimum| + top, so this covers the operands too
+        need = 2 * max(map(abs, num_min + den_min), default=0) + top
+        lay, a, b = self._operands(den, need)
+        quot = exact_div_terms(a, b, lay, num_min, den_min)
+        q_min = tuple(map(sub, num_min, den_min))
+        out = self._result(quot, lay, max((max(-q, q + top) for q in q_min),
+                                          default=0))
+        out._mins = q_min
+        return out
 
 
 def power(base, n: int):
@@ -385,10 +577,11 @@ def power(base, n: int):
     return result
 
 
-def evaluate_terms(terms: dict, vals) -> Fraction:
-    """Exact value of a term dict at the rational point ``vals``."""
+def evaluate_terms(pairs, vals) -> Fraction:
+    """Exact value of (exponent tuple, int) pairs at the rational point
+    ``vals``."""
     total = Fraction(0)
-    for exps, c in terms.items():
+    for exps, c in pairs:
         term = Fraction(c)
         for v, e in zip(vals, exps):
             if e:
@@ -439,12 +632,11 @@ def format_terms(names, items) -> str:
                        for exps, c in items])
 
 
-class GroupRingElement:
+class GroupRingElement(PackedElement):
     """An element of ZP: a finite sum ``sum_a c_a * u^a`` with integer c_a.
 
-    Internally a term dict (see ``add_terms``) from exponent tuples to
-    nonzero ints.  Treated as immutable; all arithmetic returns fresh
-    objects.
+    Internally a packed term dict (see ``PackedElement``).  Treated as
+    immutable; all arithmetic returns fresh objects.
 
     Example::
 
@@ -454,7 +646,7 @@ class GroupRingElement:
         print(one + y1)        # 1 + y1
     """
 
-    __slots__ = ("semifield", "_terms", "_hash")
+    __slots__ = ("semifield", "_hash")
 
     def __init__(self, semifield: TropicalSemifield, terms: dict):
         clean = {}
@@ -468,13 +660,15 @@ class GroupRingElement:
                 raise DimensionError("exponent tuple of wrong length")
             clean[exps] = c
         self.semifield = semifield
-        self._terms = clean
-        self._hash = None
+        self._terms, self._layout, self._bound = pack_terms(clean, m)
+        self._mins = self._hash = None
 
-    def _result(self, terms):
-        """Wrap a term dict that is already clean (ring-op results)."""
+    def _wrap(self, terms, lay, bound):
+        """Wrap a packed term dict that is already clean (ring-op results)."""
         out = object.__new__(GroupRingElement)
-        out.semifield, out._terms, out._hash = self.semifield, terms, None
+        out.semifield, out._terms, out._layout, out._bound = (
+            self.semifield, terms, lay, bound)
+        out._mins = out._hash = None
         return out
 
     @classmethod
@@ -482,26 +676,13 @@ class GroupRingElement:
         return cls(semifield, {(0,) * semifield.ngens: n})
 
     def _operand(self, other):
-        """Term dict of an int or GroupRingElement operand, else None."""
+        """An int or GroupRingElement operand as a GroupRingElement, else None."""
         if isinstance(other, int):
-            return {(0,) * self.semifield.ngens: other} if other else {}
+            return GroupRingElement.from_int(self.semifield, other)
         if isinstance(other, GroupRingElement):
             _check_same_semifield(self, other)
-            return other._terms
+            return other
         return None
-
-    def terms(self):
-        """Iterate (exponent tuple, integer coefficient) pairs."""
-        return self._terms.items()
-
-    def nterms(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {(0,) * self.semifield.ngens: 1}
 
     def is_monomial(self) -> bool:
         """True when a single term with coefficient +1 (a unit coming from P)."""
@@ -510,27 +691,8 @@ class GroupRingElement:
     def monomial_part(self) -> SemifieldElement:
         if len(self._terms) != 1:
             raise ValueError("not a single-term element")
-        (exps,) = self._terms.keys()
+        (exps, _), = self.terms()
         return SemifieldElement(self.semifield, exps)
-
-    def __add__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return self._result(add_terms(self._terms, b))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._result({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if self._operand(other) is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, SemifieldElement):
@@ -538,7 +700,7 @@ class GroupRingElement:
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return self._result(mul_terms(self._terms, b))
+        return self._times(b)
 
     __rmul__ = __mul__
 
@@ -557,19 +719,20 @@ class GroupRingElement:
         if isinstance(den, SemifieldElement):
             return self * den.inverse()
         _check_same_semifield(self, den)
-        return self._result(exact_div_terms(self._terms, den._terms))
+        return self._over(den)
 
     def evaluate(self, point) -> Fraction:
         vals = [Fraction(v) for v in point]
         if len(vals) != self.semifield.ngens:
             raise DimensionError("point has wrong length")
-        return evaluate_terms(self._terms, vals)
+        return evaluate_terms(self.terms(), vals)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = GroupRingElement.from_int(self.semifield, other)
         return (isinstance(other, GroupRingElement)
                 and self.semifield == other.semifield
+                and self._layout is other._layout
                 and self._terms == other._terms)
 
     def __hash__(self):
@@ -579,8 +742,7 @@ class GroupRingElement:
         return self._hash
 
     def __str__(self):
-        return format_terms(self.semifield.generators, sorted(self._terms.items()))
+        return format_terms(self.semifield.generators, sorted(self.terms()))
 
     def __repr__(self):
         return "GroupRingElement(%s)" % (str(self),)
-

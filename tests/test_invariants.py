@@ -29,8 +29,7 @@ def test_d_recurrence_step_continues_a_path(gen2):
             == d_matrix_by_recurrence(gen2, (0, 1)))
 
 
-@given(st.integers(0, 10 ** 6))
-def test_d_recurrence_matches_laurent_on_random_paths(seed):
+def check_random_path(seed):
     # small entries: deep seeds of wild patterns grow out of test scale.
     # With g = min over pairs of b_ij b_ji r_i r_j, terms grow fastest when
     # g <= -4 (affine or wild rank-2 parts), where depth 4 can take minutes
@@ -46,6 +45,19 @@ def test_d_recurrence_matches_laurent_on_random_paths(seed):
     path = tuple(rng.randrange(pattern.n) for _ in range(rng.randint(0, cap)))
     got = d_matrix_by_recurrence(pattern, path)
     assert got == d_matrix_from_laurent(pattern.seed_at(path))
+
+
+@given(st.integers(0, 10 ** 6))
+def test_d_recurrence_matches_laurent_on_random_paths(seed):
+    check_random_path(seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [12041, 3070, 11002])
+def test_d_recurrence_matches_laurent_on_slow_draws(seed):
+    # the slowest draws among seeds 0..29999: depth-3 paths on rank-3
+    # patterns with g = -16, where one square u*u has thousands of terms
+    check_random_path(seed)
 
 
 # ---- principal patterns ----

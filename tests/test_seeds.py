@@ -15,7 +15,10 @@ from gencluster import (ClusterPattern, DimensionError, ExchangeMatrix,
 
 def random_pattern(rng, n, max_degree=3, gens=("u", "v"), max_entry=2,
                    max_scale=3):
-    """Random skew-symmetrizable data: B = C * diag(d) with C skew."""
+    """Random skew-symmetrizable data: B = C * diag(d) with C skew and
+    nonzero, so n >= 2."""
+    if n < 2:
+        raise ValueError("a random pattern needs n >= 2, got %d" % n)
     while True:
         c = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -40,6 +43,13 @@ def random_pattern(rng, n, max_degree=3, gens=("u", "v"), max_entry=2,
     y0 = tuple(monomial() for _ in range(n))
     return ClusterPattern.build(rows, degrees=degrees, semifield=P,
                                 y0=y0, frozen=frozen)
+
+
+def test_random_pattern_rejects_rank_one():
+    # a 1x1 skew matrix is zero, so the draw loop would never end
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            random_pattern(random.Random(0), n)
 
 
 # ---- symmetrizer ----
@@ -95,6 +105,15 @@ def test_mutate_matrix_checks_the_carried_symmetrizer():
     b = ExchangeMatrix._derived(((0, 2), (-1, 0)), (1, 1))
     with pytest.raises(NotSkewSymmetrizableError):
         mutate_matrix(b, (1, 1), 0)
+
+
+def test_mutate_matrix_checks_a_changed_row_against_a_kept_one():
+    # S = (1, 2, 2) symmetrizes B, (1, 2, 1) fails only on the pair
+    # (1, 2); mutating at 0 changes rows 0 and 1 and keeps row 2
+    b = ExchangeMatrix._derived(((0, 2, 0), (-1, 0, 1), (0, -1, 0)), (1, 2, 1))
+    with pytest.raises(NotSkewSymmetrizableError):
+        mutate_matrix(b, (1, 1, 1), 0)
+    assert mutate_matrix(ExchangeMatrix(b.rows), (1, 1, 1), 0).symmetrizer == (1, 2, 2)
 
 
 @given(st.integers(0, 10 ** 6))

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gencluster import GroupRingElement, NotLaurentError, TropicalSemifield
-from gencluster.semifield import add_terms, exact_div_terms, mul_terms
+from gencluster.semifield import add_terms, exact_div_terms, layout, mul_terms
 
 P = TropicalSemifield(("u", "v"))
 U = P.generator("u")
@@ -180,17 +180,33 @@ def test_distinct_semifields_do_not_mix():
 
 
 # ---- the term-dict kernel itself ----
+#
+# The kernel works on packed term dicts; these tests draw exponent-tuple
+# dicts and pack them at the default layout of their variable count.
+
+
+def packed(terms, lay):
+    return {lay.pack(e): c for e, c in terms.items()}
 
 
 def term_dicts(nvars):
-    """Term dicts in ``nvars`` variables (0 allowed), exponents in +-20."""
+    """Packed term dicts in ``nvars`` variables (0 allowed), exponents in
+    +-20, with their layout."""
+    lay = layout(nvars)
     return st.dictionaries(
         st.tuples(*[st.integers(-20, 20)] * nvars),
-        st.integers(-9, 9).filter(bool), min_size=1, max_size=6)
+        st.integers(-9, 9).filter(bool), min_size=1, max_size=6).map(
+            lambda terms: packed(terms, lay))
 
 
 kernel_operands = st.integers(0, 5).flatmap(
     lambda n: st.tuples(term_dicts(n), term_dicts(n), st.just(n)))
+
+
+def divide(num, den, nvars):
+    """exact_div_terms with the layout and the minima its caller passes."""
+    lay = layout(nvars)
+    return exact_div_terms(num, den, lay, lay.minima(num), lay.minima(den))
 
 
 @contextmanager
@@ -214,19 +230,38 @@ def deadline(seconds):
 
 
 def test_exact_div_width_covers_the_divisor():
-    # the dividend alone has total degree 0 after shifting; packing fields
+    # the dividend alone has total degree 0 after shifting; guard fields
     # sized from it overflow on the divisor's degree-4 terms and the
     # division runs away instead of failing
-    num = {(0, 1): 3}
-    den = {(-2, -1): -3, (1, -1): 1, (2, -2): -1}
+    lay = layout(2)
+    num = packed({(0, 1): 3}, lay)
+    den = packed({(-2, -1): -3, (1, -1): 1, (2, -2): -1}, lay)
     with deadline(5), pytest.raises(NotLaurentError):
-        exact_div_terms(num, den)
+        divide(num, den, 2)
+
+
+def test_exact_div_width_covers_the_divisor_past_the_default_width():
+    # the same division with every exponent scaled past 2^29: the
+    # shifted divisor no longer fits the default 32-bit fields, so the
+    # division has to widen them
+    scale = 1 << 29
+    Q = TropicalSemifield(("a", "b"))
+
+    def grow(terms):
+        return GroupRingElement(Q, {tuple(scale * e for e in exps): c
+                                    for exps, c in terms.items()})
+
+    num = grow({(0, 1): 3})
+    den = grow({(-2, -1): -3, (1, -1): 1, (2, -2): -1})
+    with deadline(5), pytest.raises(NotLaurentError):
+        num.exact_div(den)
+    assert (num * den).exact_div(den) == num
 
 
 @given(kernel_operands)
 def test_exact_div_inverts_mul(operands):
-    a, b, _ = operands
-    assert exact_div_terms(mul_terms(a, b), b) == a
+    a, b, n = operands
+    assert divide(mul_terms(a, b), b, n) == a
 
 
 @given(kernel_operands, st.data())
@@ -236,9 +271,9 @@ def test_exact_div_rejects_a_spoiled_multiple(operands, data):
         return  # a unit divides everything
     # a multiple of b plus one monomial: b is not a unit, so the monomial,
     # and with it the sum, is not a multiple of b
-    spoil = data.draw(st.tuples(*[st.integers(-20, 20)] * n))
+    spoil = layout(n).pack(data.draw(st.tuples(*[st.integers(-20, 20)] * n)))
     with pytest.raises(NotLaurentError):
-        exact_div_terms(add_terms(mul_terms(a, b), {spoil: 1}), b)
+        divide(add_terms(mul_terms(a, b), {spoil: 1}), b, n)
 
 
 @given(kernel_operands)
