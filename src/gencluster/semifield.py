@@ -463,9 +463,6 @@ class PackedElement:
 
     __slots__ = ("_terms", "_layout", "_bound", "_mins")
 
-    def _wrap(self, terms, lay, bound):
-        raise NotImplementedError
-
     def _operands(self, other, bound):
         """The layout of an operation on self and other whose exponents
         stay within ``bound``, and both term dicts in it."""

@@ -139,13 +139,10 @@ def laurent(rank, P, flat):
                                        for x, u in coeffs.items()})
 
 
-def laurent_operands():
-    def build(shape):
-        rank, P = shape
-        return st.tuples(st.just((rank, P)),
-                         *[flat_dicts(rank + P.ngens)] * 2)
-    return st.tuples(st.sampled_from((1, 2)),
-                     st.sampled_from(SEMIFIELDS)).flatmap(build)
+laurent_operands = st.tuples(st.sampled_from((1, 2)),
+                             st.sampled_from(SEMIFIELDS)).flatmap(
+    lambda shape: st.tuples(st.just(shape),
+                            *[flat_dicts(shape[0] + shape[1].ngens)] * 2))
 
 
 group_operands = st.sampled_from(SEMIFIELDS).flatmap(
@@ -159,7 +156,7 @@ def flat(elem):
 # ---- the packed rings against the oracle ----
 
 
-@given(laurent_operands())
+@given(laurent_operands)
 def test_laurent_ops_match_the_oracle(operands):
     (rank, P), a, b = operands
     pa, pb = laurent(rank, P, a), laurent(rank, P, b)
@@ -186,7 +183,7 @@ def test_group_ring_ops_match_the_oracle(operands):
         assert flat((pa * pb).exact_div(pb)) == oracle_div(product, b) == a
 
 
-@given(laurent_operands(), st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+@given(laurent_operands, st.tuples(st.integers(-3, 3), st.integers(-3, 3),
                                      st.integers(-3, 3), st.integers(-3, 3)))
 def test_laurent_division_fails_like_the_oracle(operands, spoil):
     (rank, P), a, b = operands
@@ -217,7 +214,7 @@ def test_a_wide_product_narrows_back():
     assert (big + x1) - big == x1
 
 
-@given(laurent_operands())
+@given(laurent_operands)
 def test_equal_polynomials_hash_equal(operands):
     (rank, P), a, b = operands
     pa, pb = laurent(rank, P, a), laurent(rank, P, b)
@@ -235,7 +232,7 @@ def oracle_minima(flat):
     return tuple(map(min, zip(*flat)))
 
 
-@given(laurent_operands(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+@given(laurent_operands, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 def test_carried_minima_match_the_terms(operands, shift):
     # products, shifts and quotients take their minima from operands
     # whose minima are known; those must be the minima of their terms
