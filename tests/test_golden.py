@@ -61,6 +61,8 @@ CASES = {
     "explore_gen2_coeff.json": (GEN2_COEFF, ["explore", "--depth", "12"]),
     "verify_a3_connected.json": (A3, ["verify", "connected-subgraph",
                                       "--depth", "12"]),
+    "verify_a3_subset.json": (A3, ["verify", "connected-subgraph",
+                                   "--depth", "12", "--subset", "x2,x1"]),
     "verify_a3_trichotomy.json": (A3, ["verify", "d-trichotomy",
                                        "--depth", "12"]),
     "verify_a3_compatible.json": (A3, ["verify", "compatible-sets",

@@ -344,6 +344,31 @@ def _triangle(pattern):
     return _fabricated(pattern, (("a", "b"), ("b", "c"), ("a", "c")))
 
 
+def _hexagon(pattern):
+    """Six vertices, each joined to the two on either side: the two
+    vertices holding a and b are opposite, so {a, b} is disconnected,
+    and so are a, b, c and f alone."""
+    return _fabricated(pattern, (("b", "a"), ("c", "d"), ("e", "f"),
+                                 ("a", "b"), ("c", "e"), ("d", "f")))
+
+
+def test_connected_subgraph_reports_a_disconnected_subset(a2):
+    rep = verify_connected_subgraph(_hexagon(a2), ["b", "a"])
+    assert rep.to_json_dict() == {
+        "check": "connected-subgraph", "status": "fail", "complete": True,
+        "checked": 1,
+        "violations": [{"subset": ["a", "b"], "vertices": [0, 3]}],
+        "details": {"subset": ["a", "b"], "vertices": [0, 3]}}
+    rep = verify_all_connected_subgraphs(_hexagon(a2))
+    assert not rep.passed and rep.checked == 12
+    assert rep.violations == [
+        {"subset": ["a"], "vertices": [0, 3]},
+        {"subset": ["b"], "vertices": [0, 3]},
+        {"subset": ["c"], "vertices": [1, 4]},
+        {"subset": ["f"], "vertices": [2, 5]},
+        {"subset": ["a", "b"], "vertices": [0, 3]}]
+
+
 def test_compatible_sets_match_subset_scan(a2, a2_graph, gen2_graph,
                                            a3_graph, gen3_graph):
     # every pair of four variables is a cluster: five violating sets
