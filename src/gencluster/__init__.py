@@ -31,8 +31,8 @@ from .invariants import (PrincipalPattern, c_matrix, check_cg_duality,
                          f_polynomial, f_polynomials, g_matrix, g_vector,
                          principal_companion, principal_pattern,
                          separation_reconstruct)
-from .graph import (CanonicalSeed, ExchangeGraph, VerificationReport,
-                    VertexRecord, canonical_form, compatibility, explore,
+from .graph import (ExchangeGraph, VerificationReport, VertexRecord,
+                    canonical_form, compatibility, explore,
                     verify_all_connected_subgraphs, verify_compatible_sets,
                     verify_connected_subgraph, verify_dvector_trichotomy,
                     verify_initial_cluster_recovery)
@@ -44,7 +44,7 @@ from .config import (pair_from_config, parse_path, pattern_from_config,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraPair", "CanonicalSeed", "ClusterFormulaReport", "ClusterPattern",
+    "AlgebraPair", "ClusterFormulaReport", "ClusterPattern",
     "ConfigError", "DEFAULT_RNG_SEED", "DimensionError", "EvaluationError",
     "ExchangeGraph", "ExchangeMatrix", "GenClusterError", "GroupRingElement",
     "IncompatibleInitialDataError", "InconsistentDegreeTransportError",

@@ -8,7 +8,7 @@ carry corresponding cluster variables.  Both checks fold one step per
 edge over the tree of non-backtracking direction sequences up to a
 horizon: ``verify_d_equality`` carries the (D-matrix, exchange matrix)
 of each side, ``verify_identification`` walks each side's explored
-transition table and reads variables off its stored renderings.
+transition table and reads variables off its interned ids.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ def _walk_table(pattern: ClusterPattern, horizon: int):
     """Walk every tree path through ``explore(pattern, depth_limit=horizon)``.
 
     The state (v, pos) of a path says position i of its seed is position
-    pos[i] at vertex v.  Returns the vertex of each path, the rendering
-    at each (path, position) slot and the set of clusters reached.
+    pos[i] at vertex v.  Returns the vertex of each path, the variable id
+    at each (path, position) slot, the set of clusters reached (as sets
+    of ids) and the variables in id order.
     """
     graph = explore(pattern, depth_limit=horizon)
 
@@ -116,11 +117,11 @@ def _walk_table(pattern: ClusterPattern, horizon: int):
     root = (0, tuple(range(pattern.n)))
     for p, (v, pos) in _fold_tree(pattern.n, horizon, root, step):
         vertex[p] = v
+        ids = graph.vertices[v].ids
         for i, j in enumerate(pos):
-            var[p, i] = graph.vertices[v].canon.serials[j]
-    clusters = {frozenset(graph.vertices[v].canon.serials)
-                for v in vertex.values()}
-    return vertex, var, clusters
+            var[p, i] = ids[j]
+    clusters = {frozenset(graph.vertices[v].ids) for v in vertex.values()}
+    return vertex, var, clusters, list(graph.var_ids)
 
 
 def _partition(assignment):
@@ -139,8 +140,9 @@ def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport
     horizon once and every path is walked through its transition table,
     composing the relabeling of each edge taken.
     """
-    left_key, left_var, left_clusters = _walk_table(pair.left, horizon)
-    right_key, right_var, right_clusters = _walk_table(pair.right, horizon)
+    left_key, left_var, left_clusters, left_x = _walk_table(pair.left, horizon)
+    right_key, right_var, right_clusters, right_x = _walk_table(pair.right,
+                                                                horizon)
 
     violations = []
     if _partition(left_key) != _partition(right_key):
@@ -153,8 +155,9 @@ def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport
         rv = right_var[slot]
         if alpha.setdefault(lv, rv) != rv:
             violations.append({"kind": "map-not-well-defined",
-                               "variable": lv,
-                               "images": [alpha[lv], rv]})
+                               "variable": str(left_x[lv]),
+                               "images": [str(right_x[alpha[lv]]),
+                                          str(right_x[rv])]})
     if len(set(alpha.values())) != len(alpha):
         violations.append({"kind": "map-not-injective"})
 

@@ -1,4 +1,4 @@
-r"""Exchange graphs: canonical seeds, exploration, theorem checkers.
+r"""Exchange graphs: exploration, canonical keys, theorem checkers.
 
 Two seeds are equivalent when a permutation simultaneously relabels the
 cluster, the coefficients and both indices of the exchange matrix.  An
@@ -16,9 +16,10 @@ the full transport on the actual seeds and raises
 InconsistentDegreeTransportError if the degree data fails to follow the
 permutation (that would be an engine bug, not data).
 
-Each stored vertex also carries the text canonical form of its seed (the
-cluster sorted by rendering), built once when the vertex is stored: its
-key is what ``key_hash`` reports, and the checks read its renderings.
+The checks read the interned ids too (``var_ids`` numbers variables in
+order of first appearance).  Text is built only for output: JSON and DOT
+label a vertex by the hash of its seed's text canonical form (the
+cluster sorted by rendering), and a report renders the variables it names.
 
 The graph is a transition table: ``succ[v][k] = (w, sigma)`` says that
 mutating vertex v's seed in direction k gives vertex w's seed relabeled
@@ -47,54 +48,39 @@ from .invariants import d_matrix_from_laurent, d_recurrence_step
 from .seeds import ClusterPattern, MutationPair, Seed, mutate_seed
 
 
-@dataclass(frozen=True)
-class CanonicalSeed:
-    """The dedup key of a seed, the sort behind it and its renderings.
+def canonical_form(seed: Seed, pair: MutationPair) -> str:
+    """Sort the cluster by serialization; return the text key.
 
-    ``perm`` maps canonical positions to original indices, so the
-    canonical cluster is ``x[perm[0]], x[perm[1]], ...``; ``serials``
-    holds ``str(x[i])`` in the seed's own order.
-    """
-
-    key: str
-    perm: tuple
-    serials: tuple
-
-
-def canonical_form(seed: Seed, pair: MutationPair) -> CanonicalSeed:
-    """Sort the cluster by serialization; build the text key.
-
-    ``explore`` dedups on interned ids and calls this once per stored
-    vertex, for ``key_hash`` and the renderings the checks read.
+    Equivalent seeds share the key.  Only the JSON and DOT outputs call
+    this, once per vertex they print, for its ``key_hash``.
 
     Cluster variables of one seed form a free generating set and are
     pairwise distinct, so the sort has no ties; a tie means the engine
     produced a broken seed and is a hard error.
     """
     n = seed.n
-    serials = tuple(str(v) for v in seed.x)
-    if len(set(serials)) != n:
+    names = tuple(str(v) for v in seed.x)
+    if len(set(names)) != n:
         raise RuntimeError("cluster variables of a single seed must be distinct")
-    perm = tuple(sorted(range(n), key=serials.__getitem__))
+    perm = sorted(range(n), key=names.__getitem__)
     rows = tuple(tuple(seed.B.rows[i][j] for j in perm) for i in perm)
-    key = "B=%r;x=%r;y=%r;r=%r;z=%r" % (
+    return "B=%r;x=%r;y=%r;r=%r;z=%r" % (
         rows,
-        tuple(serials[i] for i in perm),
+        tuple(names[i] for i in perm),
         tuple(str(seed.y[i]) for i in perm),
         tuple(pair.degrees[i] for i in perm),
         tuple(tuple(str(z) for z in pair.frozen[i]) for i in perm),
     )
-    return CanonicalSeed(key, perm, serials)
 
 
-def key_hash(key: str) -> str:
-    return hashlib.sha256(key.encode()).hexdigest()[:12]
+def key_hash(seed: Seed, pair: MutationPair) -> str:
+    """The label of a seed in the JSON and DOT outputs."""
+    return hashlib.sha256(canonical_form(seed, pair).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
 class VertexRecord:
     index: int
-    canon: CanonicalSeed
     reached: Seed          # the seed exactly as produced along `path`
     path: tuple            # 0-based tree address of the representative
     ids: tuple             # interned id of each cluster variable of `reached`
@@ -106,7 +92,7 @@ class ExchangeGraph:
     vertices: list = field(default_factory=list)
     key_to_index: dict = field(default_factory=dict)   # int dedup key -> vertex
     succ: list = field(default_factory=list)   # succ[v][k] = (w, sigma) or None
-    var_ids: dict = field(default_factory=dict)   # cluster variable -> id
+    var_ids: dict = field(default_factory=dict)   # variable -> id, in id order
     pending: dict = field(default_factory=dict)   # (v, k) -> seed kept at the cap
 
     @property
@@ -143,7 +129,7 @@ class ExchangeGraph:
         verts = []
         for rec in self.vertices:
             entry = {"index": rec.index,
-                     "key_hash": key_hash(rec.canon.key),
+                     "key_hash": key_hash(rec.reached, self.pattern.pair),
                      "path": [k + 1 for k in rec.path]}
             if include_seeds:
                 entry.update(rec.reached.render())
@@ -161,7 +147,7 @@ class ExchangeGraph:
     def to_dot(self, label_dmatrix=False):
         lines = ["graph exchange {"]
         for rec in self.vertices:
-            label = key_hash(rec.canon.key)
+            label = key_hash(rec.reached, self.pattern.pair)
             if label_dmatrix:
                 d = d_matrix_from_laurent(rec.reached)
                 label += r"\nD=%s" % (str([list(c) for c in d]),)
@@ -234,8 +220,7 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
 
     def store(seed, ids, path, key):
         j = len(g.vertices)
-        g.vertices.append(VertexRecord(j, canonical_form(seed, pair), seed,
-                                       path, ids))
+        g.vertices.append(VertexRecord(j, seed, path, ids))
         g.key_to_index[key] = j
         g.succ.append([None] * n)
         queue.append(j)
@@ -324,47 +309,36 @@ class VerificationReport:
 
 
 class _Membership:
-    """The variables of a graph, read off the renderings its canonical
-    forms stored: ids in order of first appearance, the ids at each
-    vertex (``var_at``), the vertices holding each rendering
-    (``where``), the undirected adjacency of the transition table and
-    the compatibility graph: bit b of the int ``nbr[a]`` is set when
-    the distinct variables a and b share a cluster."""
+    """The variables of a graph by interned id: the ids at each vertex
+    (``var_at``), the vertices holding each id as an int bitset
+    (``holders``), the undirected adjacency of the transition table and
+    the compatibility graph: bit b of the int ``nbr[a]`` is set when the
+    distinct variables a and b share a cluster."""
 
     def __init__(self, graph: ExchangeGraph):
         self.nv = graph.vertex_count()
-        self.ids = {}
-        self.where = {}
-        self.var_at = []
-        for rec in graph.vertices:
-            for s in rec.canon.serials:
-                self.where.setdefault(s, set()).add(rec.index)
-            self.var_at.append(tuple(self.ids.setdefault(s, len(self.ids))
-                                     for s in rec.canon.serials))
+        self.var_at = [rec.ids for rec in graph.vertices]
+        self.holders = [0] * len(graph.var_ids)
+        self.nbr = [0] * len(graph.var_ids)
+        for v, row in enumerate(self.var_at):
+            for a in row:
+                self.holders[a] |= 1 << v
+                self.nbr[a] |= sum(1 << b for b in row if b != a)
         self.adj = [set() for _ in range(self.nv)]
         for v, row in enumerate(graph.succ):
             for w, _ in filter(None, row):
                 self.adj[v].add(w)
                 self.adj[w].add(v)
-        self.nbr = [0] * len(self.ids)
-        for row in self.var_at:
-            for a in row:
-                self.nbr[a] |= sum(1 << b for b in row if b != a)
-
-    def serials(self, J):
-        out = [str(item) for item in J]
-        for s in out:
-            if s not in self.where:
-                raise UnknownVariableError(s)
-        return frozenset(out)
 
     def hits(self, want):
-        """Sorted indices of the vertices whose clusters contain ``want``."""
-        if not want:
-            return list(range(self.nv))
-        return sorted(set.intersection(*(self.where[s] for s in want)))
+        """Sorted indices of the vertices whose clusters hold every id
+        in ``want``."""
+        held = (1 << self.nv) - 1
+        for a in want:
+            held &= self.holders[a]
+        return [v for v in range(self.nv) if held >> v & 1]
 
-    def connected_report(self, want):
+    def connected_report(self, want, names):
         hits = self.hits(want)
         hitset, seen, stack = set(hits), set(hits[:1]), hits[:1]
         while stack:
@@ -372,16 +346,27 @@ class _Membership:
                 seen.add(w)
                 stack.append(w)
         connected = len(seen) == len(hits)
-        violations = [] if connected else [{"subset": sorted(want),
+        subset = sorted(names[a] for a in want)
+        violations = [] if connected else [{"subset": subset,
                                             "vertices": hits}]
-        return connected, violations, {"subset": sorted(want), "vertices": hits}
+        return connected, violations, {"subset": subset, "vertices": hits}
+
+
+def _ids_named(names, J):
+    """The ids of the variables rendered ``str(item)`` for item in J."""
+    ids = {s: a for a, s in enumerate(names)}
+    try:
+        return {ids[s] for s in map(str, J)}
+    except KeyError as missing:
+        raise UnknownVariableError(missing.args[0]) from None
 
 
 def verify_connected_subgraph(graph: ExchangeGraph, J) -> VerificationReport:
     """The vertices whose clusters contain every member of J must induce
-    a connected subgraph (membership by canonical serialization)."""
-    index = _Membership(graph)
-    connected, violations, details = index.connected_report(index.serials(J))
+    a connected subgraph (members named by their renderings)."""
+    names = list(map(str, graph.var_ids))
+    connected, violations, details = _Membership(graph).connected_report(
+        _ids_named(names, J), names)
     return VerificationReport("connected-subgraph", connected, graph.complete,
                               1, violations, details)
 
@@ -389,12 +374,13 @@ def verify_connected_subgraph(graph: ExchangeGraph, J) -> VerificationReport:
 def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
     """Run the connectivity check for every subset of every cluster."""
     index = _Membership(graph)
-    subsets = {frozenset(sub) for rec in graph.vertices
+    names = list(map(str, graph.var_ids))
+    subsets = {frozenset(sub) for row in index.var_at
                for r in range(graph.pattern.n + 1)
-               for sub in combinations(rec.canon.serials, r)}
+               for sub in combinations(row, r)}
     violations = []
-    for J in sorted(subsets, key=lambda s: (len(s), sorted(s))):
-        violations.extend(index.connected_report(J)[1])
+    for J in sorted(subsets, key=lambda s: (len(s), sorted(names[a] for a in s))):
+        violations.extend(index.connected_report(J, names)[1])
     return VerificationReport("connected-subgraph", not violations,
                               graph.complete, len(subsets), violations,
                               {"subsets_checked": len(subsets)})
@@ -402,8 +388,8 @@ def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
 
 def compatibility(graph: ExchangeGraph, a, b) -> bool:
     """True when the two variables occur together in some cluster."""
-    index = _Membership(graph)
-    return bool(index.hits(index.serials([a, b])))
+    names = list(map(str, graph.var_ids))
+    return bool(_Membership(graph).hits(_ids_named(names, [a, b])))
 
 
 def _d_matrices_from(graph: ExchangeGraph, base: int):
@@ -471,7 +457,7 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
                                "compatible": compatible})
     return VerificationReport(
         "d-trichotomy", not violations, True, nv * nv * n * n, violations,
-        {"variables": len(index.ids), "pairs": len(table)})
+        {"variables": len(index.nbr), "pairs": len(table)})
 
 
 def verify_compatible_sets(graph: ExchangeGraph) -> VerificationReport:
@@ -492,7 +478,6 @@ def verify_compatible_sets(graph: ExchangeGraph) -> VerificationReport:
     index = _Membership(graph)
     nbr = index.nbr
     nval = len(nbr)
-    holders = [sum(1 << v for v in index.where[s]) for s in index.ids]
     clusters = {frozenset(row) for row in index.var_at}
 
     violations = []
@@ -515,7 +500,7 @@ def verify_compatible_sets(graph: ExchangeGraph) -> VerificationReport:
         while below:
             a = below.bit_length() - 1
             below ^= 1 << a
-            stack.append((members + (a,), common & nbr[a], held & holders[a]))
+            stack.append((members + (a,), common & nbr[a], held & index.holders[a]))
     for c in clusters:
         if c not in maximal:
             violations.append({"kind": "cluster-not-maximal", "set": sorted(c)})

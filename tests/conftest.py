@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import settings
 
@@ -6,6 +9,26 @@ from gencluster import (ClusterPattern, TropicalSemifield, explore,
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds`` (where the
+    platform has interval timers; elsewhere the block just runs)."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,9 @@ from gencluster import (ClusterPattern, InconsistentDegreeTransportError,
                         verify_all_connected_subgraphs,
                         verify_compatible_sets, verify_connected_subgraph,
                         verify_dvector_trichotomy,
-                        verify_initial_cluster_recovery)
-from gencluster.graph import (CanonicalSeed, ExchangeGraph, VerificationReport,
-                              VertexRecord, _verify_dedup_transport)
+                        principal_pattern, verify_initial_cluster_recovery)
+from gencluster.graph import (ExchangeGraph, VerificationReport, VertexRecord,
+                              _verify_dedup_transport)
 from gencluster.seeds import mutate_seed
 
 
@@ -22,23 +22,19 @@ from gencluster.seeds import mutate_seed
 
 def test_canonical_form_sorts_and_keys(a2):
     s0 = a2.initial_seed()
-    c = canonical_form(s0, a2.pair)
-    assert c.perm == (0, 1)
-    assert c.serials == ("x1", "x2")
+    key = canonical_form(s0, a2.pair)
+    assert "x=('x1', 'x2')" in key
     # a relabeled copy canonicalizes to the same key
     swapped = Seed(type(s0.B)(((0, -1), (1, 0))), (s0.x[1], s0.x[0]),
                    (s0.y[1], s0.y[0]))
-    assert canonical_form(swapped, a2.pair).key == c.key
-    assert canonical_form(swapped, a2.pair).perm == (1, 0)
-    assert canonical_form(swapped, a2.pair).serials == ("x2", "x1")
+    assert canonical_form(swapped, a2.pair) == key
 
 
 def test_canonical_form_separates_unequal_degrees(a2, gen2):
     s0 = a2.initial_seed()
     t0 = gen2.initial_seed()
     # same matrix and cluster, different exchange data -> different keys
-    assert (canonical_form(s0, a2.pair).key
-            != canonical_form(t0, gen2.pair).key)
+    assert canonical_form(s0, a2.pair) != canonical_form(t0, gen2.pair)
 
 
 def test_canonical_form_rejects_duplicate_variables(a2):
@@ -52,7 +48,7 @@ def test_random_relabelings_share_a_key(a3):
     rng = random.Random(4)
     pair = a3.pair
     base = a3.seed_at((0, 2, 1))
-    want = canonical_form(base, pair).key
+    want = canonical_form(base, pair)
     for _ in range(10):
         perm = list(range(3))
         rng.shuffle(perm)
@@ -61,12 +57,12 @@ def test_random_relabelings_share_a_key(a3):
         relabeled = Seed(type(base.B)(rows),
                          tuple(base.x[perm[i]] for i in range(3)),
                          tuple(base.y[perm[i]] for i in range(3)))
-        assert canonical_form(relabeled, pair).key == want
+        assert canonical_form(relabeled, pair) == want
 
 
 def test_dedup_transport_flags_degree_mismatch(gen2):
     s0 = gen2.initial_seed()
-    stored = VertexRecord(0, canonical_form(s0, gen2.pair), s0, (), (0, 1))
+    stored = VertexRecord(0, s0, (), (0, 1))
     swapped = Seed(type(s0.B)(((0, -1), (1, 0))), (s0.x[1], s0.x[0]),
                    (s0.y[1], s0.y[0]))
     # the permutation relating the seeds swaps a degree-2 direction with
@@ -78,7 +74,7 @@ def test_dedup_transport_flags_degree_mismatch(gen2):
 def test_dedup_transport_flags_a_different_variable(a2):
     # ids that claim equal variables must name equal polynomials
     s0 = a2.initial_seed()
-    stored = VertexRecord(0, canonical_form(s0, a2.pair), s0, (), (0, 1))
+    stored = VertexRecord(0, s0, (), (0, 1))
     other = a2.seed_at((0,))
     with pytest.raises(RuntimeError):
         _verify_dedup_transport(stored, other, (0, 1), a2.pair)
@@ -105,7 +101,7 @@ def test_explore_counts(a2_graph, gen2_graph, a3_graph, gen3_graph):
 def test_explore_is_deterministic(gen2):
     a = explore(gen2, depth_limit=12)
     b = explore(gen2, depth_limit=12)
-    assert [r.canon.key for r in a.vertices] == [r.canon.key for r in b.vertices]
+    assert a.to_json_dict() == b.to_json_dict()
     assert a.succ == b.succ
 
 
@@ -145,8 +141,9 @@ def test_resume_after_vertex_cap_mutates_each_slot_once(monkeypatch):
 
 
 def test_explore_renders_each_new_variable_once(monkeypatch):
-    # the text key is built per stored vertex, and only the one new
-    # variable of a stored vertex is a fresh polynomial
+    # explore renders nothing; the JSON output renders each polynomial
+    # once, and only the one new variable of a stored vertex is a fresh
+    # polynomial
     renders = []
     original = LaurentPolynomial._render
 
@@ -156,8 +153,29 @@ def test_explore_renders_each_new_variable_once(monkeypatch):
 
     monkeypatch.setattr(LaurentPolynomial, "_render", counting)
     graph = explore(ClusterPattern.build(_chain(4)), vertex_limit=1000)
-    assert graph.complete
+    assert graph.complete and not renders
+    graph.to_json_dict()
     assert len(renders) <= graph.vertex_count() + 4
+
+
+def _first_appearance(graph):
+    """Each vertex's variables numbered in order of first appearance of
+    their renderings, in vertex order."""
+    ids = {}
+    return [tuple(ids.setdefault(str(x), len(ids)) for x in rec.reached.x)
+            for rec in graph.vertices]
+
+
+def test_ids_number_variables_by_first_appearance(a3_graph):
+    a4 = ClusterPattern.build(_chain(4))
+    part = explore(a4, vertex_limit=10)
+    resumed = explore(a4, depth_limit=40, vertex_limit=1000, resume=part)
+    principal = explore(principal_pattern(_chain(3), degrees=(2, 1, 1)),
+                        vertex_limit=1000)
+    assert resumed.complete and principal.complete
+    for graph in (a3_graph, part, resumed, principal):
+        assert [rec.ids for rec in graph.vertices] == _first_appearance(graph)
+        assert list(graph.var_ids.values()) == list(range(len(graph.var_ids)))
 
 
 def test_resume_after_vertex_cap_matches_one_shot():
@@ -181,6 +199,8 @@ D4 = [[0, 1, 0, 0], [-1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0]]
 # type D5: the chain 1-2-3-4 with node 5 also joined to node 3
 D5 = [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 1],
       [0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]
+# type F4: the chain 1-2-3-4 with a double bond between nodes 2 and 3
+F4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -2, 0, 1], [0, 0, -1, 0]]
 
 
 def _branched_chain(n):
@@ -194,9 +214,10 @@ def _branched_chain(n):
     (_chain(2), None, 5), (_chain(3), None, 14), (_chain(4), None, 42),
     (_chain(5), None, 132), (_chain(3), (2, 1, 1), 20),
     (_chain(3), (1, 1, 2), 20), (_chain(2), (3, 1), 8), (D4, None, 50),
+    (F4, None, 105),
     pytest.param(_branched_chain(6), None, 833, marks=pytest.mark.slow),
     pytest.param(_branched_chain(7), None, 4160, marks=pytest.mark.slow),
-], ids=["A2", "A3", "A4", "A5", "B3", "C3", "G2", "D4", "E6", "E7"])
+], ids=["A2", "A3", "A4", "A5", "B3", "C3", "G2", "D4", "F4", "E6", "E7"])
 def test_finite_type_cluster_counts(rows, degrees, count):
     graph = explore(ClusterPattern.build(rows, degrees=degrees),
                     vertex_limit=10000)
@@ -290,10 +311,8 @@ def _subset_scan(graph):
     """The compatible-set check as a scan of every subset of the
     variables with a pairwise test on each: a reference for graphs of at
     most 20 variables."""
-    ids = {}
-    var_at = [tuple(ids.setdefault(s, len(ids)) for s in rec.canon.serials)
-              for rec in graph.vertices]
-    nval = len(ids)
+    var_at = [rec.ids for rec in graph.vertices]
+    nval = len(graph.var_ids)
     assert nval <= 20
     comp = {(a, b) for row in var_at for a in row for b in row}
     clusters = {frozenset(row) for row in var_at}
@@ -327,13 +346,14 @@ def _subset_scan(graph):
 
 
 def _fabricated(pattern, clusters):
-    """A complete graph of rank-2 vertices with the given clusters; the
-    compatible-set check reads nothing else."""
+    """A complete graph of rank-2 vertices with the given clusters of
+    named variables; the checks read nothing else."""
     graph = ExchangeGraph(pattern)
+    var_ids = graph.var_ids
     nv = len(clusters)
-    for v, serials in enumerate(clusters):
-        canon = CanonicalSeed(repr(serials), (0, 1), serials)
-        graph.vertices.append(VertexRecord(v, canon, None, (), ()))
+    for v, names in enumerate(clusters):
+        ids = tuple(var_ids.setdefault(s, len(var_ids)) for s in names)
+        graph.vertices.append(VertexRecord(v, None, (), ids))
         graph.succ.append([((v + 1) % nv, (0, 1)), ((v + 2) % nv, (0, 1))])
     return graph
 
@@ -402,8 +422,8 @@ def test_compatible_sets_beyond_twenty_variables():
     assert rep.details["maximal_sets"] == rep.details["clusters"] == 182
     # the compatible sets are the subsets of the clusters
     faces = {frozenset(sub) for rec in graph.vertices
-             for r in range(len(rec.canon.serials) + 1)
-             for sub in itertools.combinations(rec.canon.serials, r)}
+             for r in range(len(rec.ids) + 1)
+             for sub in itertools.combinations(rec.ids, r)}
     assert rep.details["compatible_sets"] == len(faces) == 1233
 
 

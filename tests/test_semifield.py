@@ -1,11 +1,10 @@
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import deadline
 from gencluster import GroupRingElement, NotLaurentError, TropicalSemifield
 from gencluster.semifield import add_terms, exact_div_terms, layout, mul_terms
 
@@ -207,26 +206,6 @@ def divide(num, den, nvars):
     """exact_div_terms with the layout and the minima its caller passes."""
     lay = layout(nvars)
     return exact_div_terms(num, den, lay, lay.minima(num), lay.minima(den))
-
-
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the block after ``seconds`` (where the
-    platform has interval timers; elsewhere the block just runs)."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError("still running after %g s" % seconds)
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_exact_div_width_covers_the_divisor():
