@@ -33,6 +33,15 @@ keeps the seed its mutation gave (``pending``).  Resuming refills
 exactly the empty slots, in the order an uninterrupted walk would have
 filled them and from the kept seeds where there are any, so a resumed
 graph equals the one explored in one go under the final limits.
+
+Each vertex stored by an ``explore`` call remembers, for that call only,
+the vertex and direction k it came from.  Its slot k is the back edge,
+and it is filled without Laurent arithmetic: mutation is an involution
+(every exchange polynomial of a pattern is reciprocal), so x_k' there is
+the parent's own x_k, and only B and y are mutated.  The result then
+takes the usual dedup lookup and transport check, so B and y are still
+verified against the parent.  A stored seed holds the one object
+interned for each of its variables, so equal ids are the same object.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ from itertools import combinations
 from . import matrices as mat
 from .errors import InconsistentDegreeTransportError, UnknownVariableError
 from .invariants import d_matrix_from_laurent, d_recurrence_step
-from .seeds import ClusterPattern, MutationPair, Seed, mutate_seed
+from .seeds import (ClusterPattern, MutationPair, Seed, _mutate_exchange_data,
+                    mutate_seed)
 
 
 def canonical_form(seed: Seed, pair: MutationPair) -> str:
@@ -217,6 +227,7 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
 
     g = ExchangeGraph(pattern)
     var_ids = g.var_ids
+    parent = {}   # vertex stored in this call -> (vertex, direction) it came from
 
     def store(seed, ids, path, key):
         j = len(g.vertices)
@@ -241,6 +252,7 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
         for v in init.x:
             var_ids[v] = len(var_ids)
         store(init, identity, (), dedup_key(init, identity))
+    var_objs = list(var_ids)   # id -> the one object stored for it
 
     while queue:
         vi = queue.popleft()
@@ -248,11 +260,18 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
         if depth_limit is not None and len(rec.path) >= depth_limit:
             continue
         row = g.succ[vi]
+        up, back = parent.get(vi, (None, None))
         for k in range(n):
             if row[k] is not None:
                 continue
             new_seed = g.pending.pop((vi, k), None)
-            if new_seed is None:
+            if new_seed is None and k == back:
+                # mu_k is an involution: x_k' is the parent's own x_k
+                b_new, y_new, _ = _mutate_exchange_data(rec.reached, pair, k)
+                xs = rec.reached.x
+                new_seed = Seed(b_new, xs[:k] + (g.vertices[up].reached.x[k],)
+                                + xs[k + 1:], y_new)
+            elif new_seed is None:
                 new_seed = mutate_seed(rec.reached, pair, k)
             x_new = new_seed.x[k]
             vid = var_ids.get(x_new)
@@ -272,8 +291,15 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
                     # no stored seed holds x_new, so none equals new_seed
                     ids = rec.ids[:k] + (len(var_ids),) + rec.ids[k + 1:]
                     var_ids[x_new] = len(var_ids)
+                    var_objs.append(x_new)
                     key = dedup_key(new_seed, ids)
+                else:
+                    # keep the one object interned for x_new
+                    xs = new_seed.x
+                    new_seed = Seed(new_seed.B, xs[:k] + (var_objs[vid],)
+                                    + xs[k + 1:], new_seed.y)
                 j = store(new_seed, ids, rec.path + (k,), key)
+                parent[j] = (vi, k)
                 sigma = identity
             else:
                 sigma = _verify_dedup_transport(g.vertices[j], new_seed, ids, pair)

@@ -235,6 +235,8 @@ class LaurentPolynomial(PackedElement):
     # ---- equality, rendering ----
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, int):
             other = LaurentPolynomial.constant(self.rank, self.semifield, other)
         return (isinstance(other, LaurentPolynomial)

@@ -342,6 +342,16 @@ def hat_y(seed: Seed, k: int) -> LaurentPolynomial:
     return u.exact_div(v)
 
 
+def _mutate_exchange_data(seed: Seed, pair: MutationPair, k: int):
+    """B and y mutated in direction k, and the exponent vector of the
+    unit Z_k|_P(y_k): the part of a seed mutation that needs no cluster
+    arithmetic.  ``mutate_seed`` builds x_k' on top of it; exploration
+    uses it alone on a back edge, where x_k' is the variable the edge
+    came from (mutation is an involution)."""
+    y_new, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
+    return mutate_matrix(seed.B, pair, k), y_new, trop
+
+
 def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
     """One seed mutation in direction k; exact, involutive."""
     n = seed.n
@@ -360,12 +370,12 @@ def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
     for s in range(1, rk):
         numerator = numerator + (u_pows[s] * v_pows[rk - s]).scalar_mul(coeffs[s])
 
-    y_new, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
+    b_new, y_new, trop = _mutate_exchange_data(seed, pair, k)
     x_new = numerator.exact_div(seed.x[k])._unit_mul(tuple(-t for t in trop))
 
     xs = list(seed.x)
     xs[k] = x_new
-    return Seed(mutate_matrix(seed.B, pair, k), tuple(xs), y_new)
+    return Seed(b_new, tuple(xs), y_new)
 
 
 def apply_path(seed: Seed, pair: MutationPair, path) -> Seed:

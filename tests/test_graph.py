@@ -122,10 +122,68 @@ def _chain(n):
 
 
 def test_resume_after_vertex_cap_mutates_each_slot_once(monkeypatch):
-    # the seeds of slots skipped at the cap are kept, so resuming
-    # mutates no slot twice: 42 vertices times 4 directions in all
+    # the seeds of slots skipped at the cap are kept, so no (vertex,
+    # direction) slot is mutated twice across the capped walk and the
+    # resume
     a4 = ClusterPattern.build(_chain(4))
     full = explore(a4, vertex_limit=1000)
+    calls = []
+
+    def counting(seed, pair, k):
+        calls.append((seed, k))
+        return mutate_seed(seed, pair, k)
+
+    monkeypatch.setattr(graph_module, "mutate_seed", counting)
+    part = explore(a4, vertex_limit=10)
+    resumed = explore(a4, depth_limit=40, vertex_limit=1000, resume=part)
+    vertex = {id(rec.reached): rec.index for rec in resumed.vertices}
+    slots = [(vertex[id(seed)], k) for seed, k in calls]
+    assert slots and len(set(slots)) == len(slots)
+    assert resumed.succ == full.succ
+    assert not resumed.pending and part.pending
+
+
+def _table_cases(gen3):
+    """(pattern, explore keywords, complete?) for the transition-table
+    oracle: finite types with and without degrees and coefficients, and
+    the rank-2 affine type at a vertex cap."""
+    return [
+        (ClusterPattern.build(_chain(4)), {"vertex_limit": 1000}, True),
+        (ClusterPattern.build(_chain(3), degrees=(2, 1, 1)),
+         {"vertex_limit": 1000}, True),
+        (ClusterPattern.build(_chain(2), degrees=(3, 1)),
+         {"vertex_limit": 1000}, True),
+        (principal_pattern(_chain(3), degrees=(2, 1, 1)),
+         {"vertex_limit": 1000}, True),
+        (gen3, {"vertex_limit": 1000}, True),
+        (ClusterPattern.build([[0, 2], [-2, 0]]), {"vertex_limit": 26}, False),
+    ]
+
+
+def test_every_slot_matches_a_fresh_mutation(gen3):
+    # back edges are filled without mutating; every filled slot must
+    # still be exactly what a fresh mutation of its vertex gives
+    for pattern, limits, complete in _table_cases(gen3):
+        graph = explore(pattern, **limits)
+        assert graph.complete == complete
+        pair, n = pattern.pair, pattern.n
+        for v, row in enumerate(graph.succ):
+            for k, slot in enumerate(row):
+                if slot is None:
+                    continue
+                w, sigma = slot
+                fresh = mutate_seed(graph.vertices[v].reached, pair, k)
+                at = graph.vertices[w].reached
+                for i in range(n):
+                    assert fresh.x[i] == at.x[sigma[i]]
+                    assert fresh.y[i] == at.y[sigma[i]]
+                    for j in range(n):
+                        assert fresh.B.rows[i][j] == at.B.rows[sigma[i]][sigma[j]]
+
+
+def test_explore_mutates_once_per_tree_edge_and_new_slot(monkeypatch, gen3):
+    # each stored vertex but the first fills its back edge without
+    # mutating: a complete one-shot walk makes n*V - (V - 1) mutations
     calls = []
 
     def counting(seed, pair, k):
@@ -133,17 +191,21 @@ def test_resume_after_vertex_cap_mutates_each_slot_once(monkeypatch):
         return mutate_seed(seed, pair, k)
 
     monkeypatch.setattr(graph_module, "mutate_seed", counting)
-    part = explore(a4, vertex_limit=10)
-    resumed = explore(a4, depth_limit=40, vertex_limit=1000, resume=part)
-    assert len(calls) == 168
-    assert resumed.succ == full.succ
-    assert not resumed.pending and part.pending
+    counts = []
+    for pattern, limits, complete in _table_cases(gen3):
+        calls.clear()
+        graph = explore(pattern, **limits)
+        nv = graph.vertex_count()
+        counts.append(len(calls))
+        if complete:
+            assert len(calls) == pattern.n * nv - (nv - 1)
+    assert counts[0] == 127     # complete A4, 42 vertices
+    assert counts[-1] == 27     # the affine type capped at 26 vertices
 
 
 def test_explore_renders_each_new_variable_once(monkeypatch):
-    # explore renders nothing; the JSON output renders each polynomial
-    # once, and only the one new variable of a stored vertex is a fresh
-    # polynomial
+    # explore renders nothing; equal ids hold one object at every
+    # vertex, so the JSON output renders each variable once
     renders = []
     original = LaurentPolynomial._render
 
@@ -154,8 +216,13 @@ def test_explore_renders_each_new_variable_once(monkeypatch):
     monkeypatch.setattr(LaurentPolynomial, "_render", counting)
     graph = explore(ClusterPattern.build(_chain(4)), vertex_limit=1000)
     assert graph.complete and not renders
+    objects = {}
+    for rec in graph.vertices:
+        for a, x in zip(rec.ids, rec.reached.x):
+            assert objects.setdefault(a, x) is x
+    assert len(objects) == len(graph.var_ids) == 14
     graph.to_json_dict()
-    assert len(renders) <= graph.vertex_count() + 4
+    assert len(renders) == len(graph.var_ids)
 
 
 def _first_appearance(graph):
