@@ -6,15 +6,14 @@ exploration interns every cluster variable of its stored seeds under an
 int id, in one dict keyed by the polynomial itself (its hash and exact
 equality), so a seed's variables are a tuple of ids and mutating in
 direction k changes only id k.  The dedup key is one flat tuple of ints:
-the sorted ids, then the exchange matrix, the coefficient exponents, the
-exchange degrees and the interior-coefficient exponents, each permuted
-the same way; equivalent seeds of one pattern must agree on the degree
-data.
-Ids are given in vertex order, so two explorations of one pattern that
-store the same vertices give the same keys.  Every dedup hit re-verifies
-the full transport on the actual seeds and raises
-InconsistentDegreeTransportError if the degree data fails to follow the
-permutation (that would be an engine bug, not data).
+the sorted ids, then the exchange matrix and the coefficient exponents,
+permuted the same way.  Ids are given in vertex order, so two
+explorations of one pattern that store the same vertices give the same
+keys.  Every dedup hit re-verifies the full transport on the actual
+seeds, and that check is the only place that compares degree data: it
+raises InconsistentDegreeTransportError if the exchange degrees or the
+interior coefficients fail to follow the permutation (that would be an
+engine bug, not data).
 
 The checks read the interned ids too (``var_ids`` numbers variables in
 order of first appearance).  Text is built only for output: JSON and DOT
@@ -135,17 +134,14 @@ class ExchangeGraph:
             self.vertex_count(), self.edge_count(),
             "complete" if self.complete else "truncated")
 
-    def to_json_dict(self, include_seeds=True):
-        verts = []
-        for rec in self.vertices:
-            entry = {"index": rec.index,
-                     "key_hash": key_hash(rec.reached, self.pattern.pair),
-                     "path": [k + 1 for k in rec.path]}
-            if include_seeds:
-                entry.update(rec.reached.render())
-                entry["d_matrix"] = [list(c) for c in
-                                     d_matrix_from_laurent(rec.reached)]
-            verts.append(entry)
+    def to_json_dict(self):
+        verts = [{"index": rec.index,
+                  "key_hash": key_hash(rec.reached, self.pattern.pair),
+                  "path": [k + 1 for k in rec.path],
+                  **rec.reached.render(),
+                  "d_matrix": [list(c) for c in
+                               d_matrix_from_laurent(rec.reached)]}
+                 for rec in self.vertices]
         edges = [{"u": u, "v": v, "directions": [k + 1 for k in ks]}
                  for (u, v), ks in self._edge_labels()]
         return {"vertex_count": self.vertex_count(),
@@ -212,18 +208,14 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
     pair = pattern.pair
     n = pattern.n
     identity = tuple(range(n))
-    zexps = tuple(tuple(e for z in zs for e in z.exponents) for zs in pair.frozen)
 
     def dedup_key(seed, ids):
-        # one flat tuple; every block has a fixed length except the z
-        # block, which the degree block before it splits
+        # one flat tuple of fixed-length blocks
         perm = sorted(identity, key=ids.__getitem__)
         rows, y = seed.B.rows, seed.y
         return (*(ids[i] for i in perm),
                 *(rows[i][j] for i in perm for j in perm),
-                *(e for i in perm for e in y[i].exponents),
-                *(pair.degrees[i] for i in perm),
-                *(e for i in perm for e in zexps[i]))
+                *(e for i in perm for e in y[i].exponents))
 
     g = ExchangeGraph(pattern)
     var_ids = g.var_ids

@@ -23,10 +23,10 @@ from . import matrices as mat
 from .errors import (DimensionError, EvaluationError,
                      NegativeCoefficientExponentError, NonMonomialCoefficientError,
                      NotHomogeneousError)
-from .laurent import LaurentPolynomial
+from .laurent import GroupRingElement, LaurentPolynomial
 from .seeds import (ClusterPattern, ExchangeMatrix, MutationPair, Seed,
                     coefficient_walk, mutate_matrix)
-from .semifield import GroupRingElement, TropicalSemifield
+from .semifield import TropicalSemifield
 
 
 def d_recurrence_step(cols, b: ExchangeMatrix, degrees, k):

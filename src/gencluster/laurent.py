@@ -1,20 +1,31 @@
-r"""Sparse Laurent polynomials in the cluster variables.
+r"""Sparse Laurent polynomials in the cluster variables, and ZP itself.
 
 ``LaurentPolynomial`` models elements of ``ZP[x_1^{\pm1}, ..., x_n^{\pm1}]``
 where ZP is the group ring of a tropical semifield P on generators
 u_1, ..., u_m (see ``semifield``).  Since ZP = Z[u^{\pm1}], that ring is
-simply the Laurent ring over Z in the n + m variables
-(x_1, ..., x_n, u_1, ..., u_m), and that is how elements are stored: one
-term dict keyed by packed ints in the layout of n + m variables, the
-x-exponents in the most significant fields (see ``semifield``: a
-product of monomials is one int addition, a unit of ZP multiplies by
-adding one key to every key, and fields widen when a result could
-overflow them).  ``terms()`` and ``nterms()`` therefore see flat terms
-``c * x^a * u^b``; a coefficient in ZP is a rendering notion only.
-Exponent tuples appear only at the edges: the constructor, ``terms()``,
-rendering, ``denominator_vector``, ``evaluate`` and
-``partial_derivative``.  The per-variable minimal exponents are kept
-once known; division and ``denominator_vector`` both read them.
+the Laurent ring over Z in the n + m variables (x_1, ..., x_n, u_1, ...,
+u_m), and ZP is its case n = 0: ``GroupRingElement`` is the rank-0
+``LaurentPolynomial``, with its own constructor, ``is_monomial`` (a unit
+coming from P), ``evaluate`` and plain rendering ``1 + u``.  A rank-0
+element mixes with a higher rank as a constant.
+
+Storage.  ``_terms`` maps packed monomial keys of ``_layout`` (the n + m
+variables, x-exponents in the most significant fields; see
+``semifield.Layout``) to nonzero ints, at the narrowest width that holds
+the exponents, so equal elements have equal term dicts and ``==`` and
+``hash`` are dict comparisons.  ``terms()`` and ``nterms()`` see flat
+terms ``c * x^a * u^b``; a coefficient in ZP is a rendering notion only.
+``_bound`` bounds every absolute exponent (not canonical).  An operation
+compares one such bound on its result with the default limit: below it
+both operands and the result sit in the default layout; otherwise it
+runs in the narrowest layout that holds the bound and moves its result
+to its own.  ``_mins`` keeps the per-variable minimal exponents once
+known.  These are integral domains, so the minima of a product, a
+monomial shift or an exact quotient follow from its operands', and a
+cluster variable made by mutation never needs decoding for division or
+``denominator_vector``.  Exponent tuples appear only at the edges: the
+constructors, ``terms()``, rendering, ``denominator_vector``,
+``evaluate`` and ``partial_derivative``.
 
 Conventions used throughout the package:
 
@@ -37,12 +48,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import DimensionError, EvaluationError
-from .semifield import (GroupRingElement, PackedElement, SemifieldElement,
-                        TropicalSemifield, _check_same_semifield,
-                        evaluate_terms, format_monomial, format_sum,
-                        format_term, format_terms, pack_terms, power)
+from .semifield import (DEFAULT_LIMIT, FIELD_WIDTH, SemifieldElement,
+                        TropicalSemifield, _check_same_semifield, add_terms,
+                        exact_div_terms, format_monomial, format_sum,
+                        format_term, format_terms, layout, layout_for,
+                        mul_terms, pack_terms)
 
 
 @lru_cache(maxsize=None)
@@ -50,22 +63,24 @@ def _xnames(rank):
     return tuple("x%d" % (j + 1) for j in range(rank))
 
 
-class LaurentPolynomial(PackedElement):
+class LaurentPolynomial:
     """Element of the Laurent ring over ZP in ``rank`` cluster variables.
 
     ``terms()`` lists the flat (exponents, int) pairs, the x-exponents
-    followed by the semifield-generator exponents; ``nterms()`` counts
-    them.
+    followed by the semifield-generator exponents.  Treated as immutable;
+    all arithmetic returns fresh objects of the class of ``self``.
     """
 
-    __slots__ = ("rank", "semifield", "_hash", "_str")
+    __slots__ = ("rank", "semifield", "_terms", "_layout", "_bound", "_mins",
+                 "_hash", "_str")
 
     def __init__(self, rank: int, semifield: TropicalSemifield, terms: dict):
         """Build from a dict {x-exponent tuple: coefficient}.
 
-        A coefficient is an int, a SemifieldElement or a GroupRingElement
-        over ``semifield``; each is checked and flattened into terms here,
-        once.  Ring operations build their results through ``_result``.
+        A coefficient is an int, a SemifieldElement or a rank-0 element
+        (such as a GroupRingElement) over ``semifield``; each is checked
+        and flattened into terms here, once.  Ring operations build their
+        results through ``_wrap``.
         """
         rank = int(rank)
         m = semifield.ngens
@@ -76,7 +91,8 @@ class LaurentPolynomial(PackedElement):
                 raise DimensionError("x-exponent tuple of wrong length")
             if isinstance(c, int):
                 items = [((0,) * m, c)]
-            elif not isinstance(c, (SemifieldElement, GroupRingElement)):
+            elif not (isinstance(c, SemifieldElement)
+                      or isinstance(c, LaurentPolynomial) and c.rank == 0):
                 raise TypeError("cannot use %r as a coefficient" % (c,))
             elif c.semifield != semifield:
                 raise DimensionError("coefficient over the wrong semifield")
@@ -87,10 +103,22 @@ class LaurentPolynomial(PackedElement):
             for uexps, k in items:
                 if k:
                     flat[exps + uexps] = int(k)
-        self.rank = rank
-        self.semifield = semifield
-        self._terms, self._layout, self._bound = pack_terms(flat, rank + m)
+        self._fill(rank, semifield, *pack_terms(flat, rank + m))
+
+    def _fill(self, rank, semifield, terms, lay, bound):
+        self.rank, self.semifield = rank, semifield
+        self._terms, self._layout, self._bound = terms, lay, bound
         self._mins = self._hash = self._str = None
+        return self
+
+    def _wrap(self, terms, lay, bound):
+        """Wrap a packed term dict that is already clean (ring-op results)
+        in the class of ``self``."""
+        return object.__new__(type(self))._fill(self.rank, self.semifield,
+                                                 terms, lay, bound)
+
+    def _one(self):
+        return self._wrap({0: 1}, layout(self._layout.nvars), 0)
 
     # ---- constructors ----
 
@@ -118,30 +146,89 @@ class LaurentPolynomial(PackedElement):
 
     # ---- inspection ----
 
+    def terms(self):
+        """List the (exponent tuple, integer coefficient) pairs."""
+        return list(zip(self._layout.unpack_all(self._terms), self._terms.values()))
+
+    def nterms(self) -> int:
+        return len(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_one(self) -> bool:
+        return self._terms == {0: 1}
+
     def is_monomial(self):
         """True for a single flat term c * x^a * u^b."""
         return len(self._terms) == 1
 
+    def _minima(self):
+        """Per-variable minimal exponents of a nonzero element, kept."""
+        if self._mins is None:
+            self._mins = self._layout.minima(self._terms)
+        return self._mins
+
     # ---- ring operations ----
 
     def _operand(self, other):
-        """A ring or coefficient operand as a LaurentPolynomial, else None."""
+        """``other`` as an element of this ring: itself at this rank, a
+        constant for an int, SemifieldElement or rank-0 element.  None
+        (NotImplemented) for a foreign type, and for a higher rank when
+        ``self`` has rank 0: that ring takes the operation."""
         if isinstance(other, LaurentPolynomial):
-            if other.rank != self.rank:
+            if other.rank == self.rank:
+                _check_same_semifield(self, other)
+                return other
+            if not self.rank:
+                return None
+            if other.rank:
                 raise DimensionError("mixed ranks: %d vs %d" % (self.rank, other.rank))
-            _check_same_semifield(self, other)
-            return other
-        if isinstance(other, (int, GroupRingElement, SemifieldElement)):
-            return LaurentPolynomial.constant(self.rank, self.semifield, other)
-        return None
+        elif not isinstance(other, (int, SemifieldElement)):
+            return None
+        return LaurentPolynomial.constant(self.rank, self.semifield, other)
 
-    def _wrap(self, terms, lay, bound):
-        """Wrap a packed term dict that is already clean (ring-op results)."""
-        out = object.__new__(LaurentPolynomial)
-        out.rank, out.semifield, out._terms, out._layout, out._bound = (
-            self.rank, self.semifield, terms, lay, bound)
-        out._mins = out._hash = out._str = None
+    def _operands(self, other, bound):
+        """The layout of an operation on self and other whose exponents
+        stay within ``bound``, and both term dicts in it."""
+        if bound < DEFAULT_LIMIT:
+            return self._layout, self._terms, other._terms
+        lay = layout_for(self._layout.nvars, bound)
+        a = lay.adopt(self)
+        return lay, a, a if other is self else lay.adopt(other)
+
+    def _result(self, terms, lay, bound):
+        """Wrap an operation's result computed in ``lay``, moved to its
+        narrowest layout when ``lay`` is wider than the default."""
+        if lay.width > FIELD_WIDTH:
+            terms, lay, bound = pack_terms(
+                dict(zip(lay.unpack_all(terms), terms.values())), lay.nvars)
+        return self._wrap(terms, lay, bound)
+
+    def __add__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        bound = max(self._bound, b._bound)
+        lay, ta, tb = self._operands(b, bound)
+        return self._result(add_terms(ta, tb), lay, bound)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        out = self._wrap({e: -c for e, c in self._terms.items()},
+                         self._layout, self._bound)
+        out._mins = self._mins
         return out
+
+    def __sub__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return self + (-b)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         b = self._operand(other)
@@ -151,8 +238,26 @@ class LaurentPolynomial(PackedElement):
 
     __rmul__ = __mul__
 
+    def _times(self, other):
+        bound = self._bound + other._bound
+        lay, a, b = self._operands(other, bound)
+        out = self._result(mul_terms(a, b), lay, bound)
+        if self._mins is not None and other._mins is not None:
+            out._mins = tuple(map(add, self._mins, other._mins))
+        return out
+
+    def _shift(self, exps):
+        """Multiply by the monomial with exponent vector ``exps``."""
+        bound = self._bound + max(map(abs, exps), default=0)
+        lay, a, _ = self._operands(self, bound)
+        shift = lay.pack(exps)
+        out = self._result({e + shift: c for e, c in a.items()}, lay, bound)
+        if self._mins is not None:
+            out._mins = tuple(map(add, self._mins, exps))
+        return out
+
     def scalar_mul(self, c):
-        """Multiply by an int, SemifieldElement or GroupRingElement; by
+        """Multiply by an int, SemifieldElement or rank-0 element; by
         the unit it returns self."""
         if isinstance(c, SemifieldElement):
             _check_same_semifield(self, c)
@@ -172,34 +277,57 @@ class LaurentPolynomial(PackedElement):
     def __pow__(self, n: int):
         n = int(n)
         if n < 0:
-            if len(self._terms) != 1:
-                raise ValueError("negative power of a non-monomial Laurent polynomial")
-            (exps, c), = self.terms()
-            if c != 1:
-                raise ValueError("negative power needs an invertible coefficient")
-            return LaurentPolynomial.one(self.rank, self.semifield)._shift(
-                tuple(e * n for e in exps))
+            if len(self._terms) != 1 or next(iter(self._terms.values())) != 1:
+                raise ValueError("negative power of a non-unit")
+            (exps, _), = self.terms()
+            return self._one()._shift(tuple(e * n for e in exps))
         if n == 0:
-            return LaurentPolynomial.one(self.rank, self.semifield)
-        return power(self, n)
+            return self._one()
+        # repeated squaring
+        result, base = None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     # ---- division ----
 
-    def exact_div(self, den: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact quotient self/den in the Laurent ring.
+    def exact_div(self, den) -> "LaurentPolynomial":
+        """Exact quotient self/den in the Laurent ring; ``den`` is an
+        element of this ring, a coefficient or a SemifieldElement.
 
         Raises NotLaurentError when the quotient is not a Laurent
-        polynomial over ZP, i.e. on any remainder.
+        polynomial over ZP, i.e. on any remainder (see
+        ``exact_div_terms``).
         """
-        if not isinstance(den, LaurentPolynomial):
-            raise TypeError("expected a LaurentPolynomial")
-        return self._over(self._operand(den))
+        if isinstance(den, SemifieldElement):
+            return self.scalar_mul(den.inverse())
+        den = self._operand(den) if isinstance(den, LaurentPolynomial) else None
+        if den is None:
+            raise TypeError("expected a LaurentPolynomial or SemifieldElement")
+        if len(den._terms) < 2 or not self._terms:
+            bound = self._bound + den._bound
+            lay, a, b = self._operands(den, bound)
+            return self._result(exact_div_terms(a, b), lay, bound)
+        num_min, den_min = self._minima(), den._minima()
+        top = max(self._layout.degree(max(self._terms)) - sum(num_min),
+                  den._layout.degree(max(den._terms)) - sum(den_min))
+        # |exponent| <= |minimum| + top, so this covers the operands too
+        need = 2 * max(map(abs, num_min + den_min), default=0) + top
+        lay, a, b = self._operands(den, need)
+        quot = exact_div_terms(a, b, lay, num_min, den_min)
+        q_min = tuple(map(sub, num_min, den_min))
+        out = self._result(quot, lay, max((max(-q, q + top) for q in q_min),
+                                          default=0))
+        out._mins = q_min
+        return out
 
     def __truediv__(self, other):
-        if isinstance(other, LaurentPolynomial):
+        if isinstance(other, (LaurentPolynomial, SemifieldElement)):
             return self.exact_div(other)
-        if isinstance(other, SemifieldElement):
-            return self.scalar_mul(other.inverse())
         return NotImplemented
 
     # ---- cluster-specific helpers ----
@@ -230,7 +358,18 @@ class LaurentPolynomial(PackedElement):
         ps = [Fraction(v) for v in semifield_point]
         if len(ps) != self.semifield.ngens:
             raise DimensionError("point has wrong length")
-        return evaluate_terms(self.terms(), xs + ps)
+        vals = xs + ps
+        total = Fraction(0)
+        for exps, c in self.terms():
+            term = Fraction(c)
+            for v, e in zip(vals, exps):
+                if e:
+                    if v == 0:
+                        raise EvaluationError(
+                            "zero value for a generator with nonzero exponent")
+                    term *= v ** e
+            total += term
+        return total
 
     # ---- equality, rendering ----
 
@@ -279,7 +418,47 @@ class LaurentPolynomial(PackedElement):
         return format_sum(pieces)
 
     def __repr__(self):
-        return "LaurentPolynomial(%s)" % (str(self),)
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class GroupRingElement(LaurentPolynomial):
+    """An element of ZP: a finite sum ``sum_a c_a * u^a`` with integer c_a,
+    the rank-0 LaurentPolynomial.
+
+    Example::
+
+        P = TropicalSemifield(["y1", "y2"])
+        one = P.group_ring_one()
+        y1 = P.generator("y1").as_group_ring()
+        print(one + y1)        # 1 + y1
+    """
+
+    __slots__ = ()
+
+    def __init__(self, semifield: TropicalSemifield, terms: dict):
+        """Build from a dict {generator-exponent tuple: int}."""
+        m = semifield.ngens
+        if any(len(exps) != m for exps in terms):
+            raise DimensionError("exponent tuple of wrong length")
+        self._fill(0, semifield, *pack_terms(
+            {tuple(map(int, exps)): int(c) for exps, c in terms.items()
+             if int(c)}, m))
+
+    # bench/tracing.py times ZP products and divisions apart from Laurent
+    # ones and looks each traced name up in this class's own __dict__
+    __mul__ = __rmul__ = LaurentPolynomial.__mul__
+    exact_div = LaurentPolynomial.exact_div
+
+    def is_monomial(self) -> bool:
+        """True when a single term with coefficient +1 (a unit coming from P)."""
+        return len(self._terms) == 1 and next(iter(self._terms.values())) == 1
+
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a point of rational generator values."""
+        return LaurentPolynomial.evaluate(self, (), point)
+
+    def _render(self):
+        return format_terms(self.semifield.generators, sorted(self.terms()))
 
 
 def exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:

@@ -1,4 +1,4 @@
-r"""Tropical semifields and their integer group rings.
+r"""Tropical semifields, packed monomial keys and sparse arithmetic over Z.
 
 A tropical semifield ``Trop(u_1, ..., u_m)`` is the free multiplicative
 abelian group on the generators ``u_j`` together with the auxiliary
@@ -14,14 +14,15 @@ denominators harmless.
 
 ZP is the Laurent ring Z[u_1^{\pm1}, ..., u_m^{\pm1}], and the ring
 ZP[x^{\pm1}] of cluster variables is the Laurent ring over Z in the x and
-u variables together.  So this module also holds the one implementation
-of sparse Laurent arithmetic over Z (``add_terms``, ``mul_terms``,
-``exact_div_terms``) and of the monomial rendering; ``GroupRingElement``
-and ``laurent``'s ``LaurentPolynomial`` are thin typed wrappers around
-them that share their storage through ``PackedElement``.
+u variables together, so ZP is its case with no x variables:
+``GroupRingElement`` is the rank-0 ``LaurentPolynomial`` (both in
+``laurent``).  This module holds what that one ring class is built on:
+the packed monomial keys (``Layout``), the one implementation of sparse
+Laurent arithmetic over Z (``add_terms``, ``mul_terms``,
+``exact_div_terms``) and the monomial rendering.
 
-Every term dict maps a packed monomial key to a nonzero int.  A
-``Layout`` packs an exponent vector e of k variables at field width w as
+A ``Layout`` packs an exponent vector e of k variables at field width w
+as
 
     key(e) = deg(e) * 2^(w*k) + sum_i e_i * 2^(w*(k-1-i)),  deg(e) = sum(e):
 
@@ -30,15 +31,10 @@ variable most significant.  The map is linear, so a product of monomials
 is one int addition.  While every |e_i| < 2^(w-1) the fields never
 overlap: keys decode uniquely, and int order is graded-lex order, a
 monomial order on the Laurent group (Monagan & Pearce, CASC 2007).
-Every element is stored at the narrowest width of the ladder 32, 64,
-128, ... that holds its exponents, so equal elements have equal term
-dicts and ``==`` and ``hash`` stay dict comparisons.  An operation
-checks one carried bound on its result's exponents, not each term, and
-runs at a wider layout when the result could leave a field (see
-``PackedElement``).  Exact division runs its heap on the stored keys
-(see ``exact_div_terms``).  Exponent tuples appear only at the edges:
-the constructors, ``terms()``, rendering, denominator vectors,
-evaluation and partial derivatives.
+Widths run up the ladder 32, 64, 128, ...; ``pack_terms`` and
+``layout_for`` pick the narrowest one that holds given exponents.
+Exact division runs its heap on the packed keys (see
+``exact_div_terms``).
 
 Everything here is exact: exponents and coefficients are Python ints,
 numeric evaluation returns ``fractions.Fraction``.
@@ -51,7 +47,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import add, sub
+from operator import add
 
 from .errors import DimensionError, EvaluationError, NotLaurentError
 
@@ -275,8 +271,8 @@ class Layout:
         """Per-variable minimal exponents over nonempty ``keys``."""
         return tuple(map(min, zip(*self.unpack_all(keys))))
 
-    def adopt(self, elem: "PackedElement") -> dict:
-        """The term dict of ``elem`` in this layout."""
+    def adopt(self, elem) -> dict:
+        """The term dict of the ring element ``elem`` in this layout."""
         if elem._layout is self:
             return elem._terms
         return dict(zip(map(self.pack, elem._layout.unpack_all(elem._terms)),
@@ -312,10 +308,9 @@ def pack_terms(terms: dict, nvars: int):
 #
 # A term dict maps the packed keys of one layout to nonzero ints: an
 # element of the Laurent ring Z[t_1^{+-1}, ..., t_k^{+-1}].
-# GroupRingElement (t = u) and LaurentPolynomial (t = x, u) both keep
-# their elements this way and do all their arithmetic through the three
-# functions below; the caller has chosen a layout whose fields hold the
-# result (see PackedElement).
+# LaurentPolynomial (t = x, u; t = u for ZP) keeps its elements this way
+# and does all its arithmetic through the three functions below; the
+# caller has chosen a layout whose fields hold the result.
 
 
 def add_terms(a: dict, b: dict) -> dict:
@@ -437,159 +432,6 @@ def exact_div_terms(num: dict, den: dict, lay: Layout = None,
     return quot
 
 
-class PackedElement:
-    """Storage and ring arithmetic shared by GroupRingElement and
-    LaurentPolynomial.
-
-    ``_terms`` maps packed keys of ``_layout`` to nonzero ints, at the
-    narrowest layout that holds the exponents; ``_bound`` is an upper
-    bound on every absolute exponent (not canonical: equal elements may
-    carry different bounds); ``_mins`` holds the per-variable minimal
-    exponents once something asked for them.  A subclass wraps results
-    with ``_wrap``.
-
-    ZP and its Laurent rings are integral domains, so in each variable
-    the lowest power of a product is the sum of the factors' lowest
-    powers.  Products, monomial shifts and exact quotients therefore
-    get their minima from their operands' when those are known, and a
-    cluster variable made by mutation never needs decoding for them.
-
-    Every operation bounds the absolute exponents of its result (and of
-    its operands) by one int and compares it once with the default
-    limit.  Below it both operands sit in the default layout, and so
-    does the result; otherwise the operation runs in the narrowest
-    layout that holds the bound and its result moves to its own.
-    """
-
-    __slots__ = ("_terms", "_layout", "_bound", "_mins")
-
-    def _operands(self, other, bound):
-        """The layout of an operation on self and other whose exponents
-        stay within ``bound``, and both term dicts in it."""
-        if bound < DEFAULT_LIMIT:
-            return self._layout, self._terms, other._terms
-        lay = layout_for(self._layout.nvars, bound)
-        a = lay.adopt(self)
-        return lay, a, a if other is self else lay.adopt(other)
-
-    def _result(self, terms, lay, bound):
-        """Wrap an operation's result computed in ``lay``, moved to its
-        narrowest layout when ``lay`` is wider than the default."""
-        if lay.width > FIELD_WIDTH:
-            terms, lay, bound = pack_terms(
-                dict(zip(lay.unpack_all(terms), terms.values())), lay.nvars)
-        return self._wrap(terms, lay, bound)
-
-    def _minima(self):
-        """Per-variable minimal exponents of a nonzero element, kept."""
-        if self._mins is None:
-            self._mins = self._layout.minima(self._terms)
-        return self._mins
-
-    def terms(self):
-        """List the (exponent tuple, integer coefficient) pairs."""
-        return list(zip(self._layout.unpack_all(self._terms), self._terms.values()))
-
-    def nterms(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
-
-    def __add__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        bound = max(self._bound, b._bound)
-        lay, ta, tb = self._operands(b, bound)
-        return self._result(add_terms(ta, tb), lay, bound)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = self._wrap({e: -c for e, c in self._terms.items()},
-                         self._layout, self._bound)
-        out._mins = self._mins
-        return out
-
-    def __sub__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return self + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _times(self, other):
-        bound = self._bound + other._bound
-        lay, a, b = self._operands(other, bound)
-        out = self._result(mul_terms(a, b), lay, bound)
-        if self._mins is not None and other._mins is not None:
-            out._mins = tuple(map(add, self._mins, other._mins))
-        return out
-
-    def _shift(self, exps):
-        """Multiply by the monomial with exponent vector ``exps``."""
-        bound = self._bound + max(map(abs, exps), default=0)
-        lay, a, _ = self._operands(self, bound)
-        shift = lay.pack(exps)
-        out = self._result({e + shift: c for e, c in a.items()}, lay, bound)
-        if self._mins is not None:
-            out._mins = tuple(map(add, self._mins, exps))
-        return out
-
-    def _over(self, den):
-        """The exact quotient self / den (see ``exact_div_terms``)."""
-        if len(den._terms) < 2 or not self._terms:
-            bound = self._bound + den._bound
-            lay, a, b = self._operands(den, bound)
-            return self._result(exact_div_terms(a, b), lay, bound)
-        num_min, den_min = self._minima(), den._minima()
-        top = max(self._layout.degree(max(self._terms)) - sum(num_min),
-                  den._layout.degree(max(den._terms)) - sum(den_min))
-        # |exponent| <= |minimum| + top, so this covers the operands too
-        need = 2 * max(map(abs, num_min + den_min), default=0) + top
-        lay, a, b = self._operands(den, need)
-        quot = exact_div_terms(a, b, lay, num_min, den_min)
-        q_min = tuple(map(sub, num_min, den_min))
-        out = self._result(quot, lay, max((max(-q, q + top) for q in q_min),
-                                          default=0))
-        out._mins = q_min
-        return out
-
-
-def power(base, n: int):
-    """base ** n for an int n >= 1 by repeated squaring."""
-    result = None
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
-def evaluate_terms(pairs, vals) -> Fraction:
-    """Exact value of (exponent tuple, int) pairs at the rational point
-    ``vals``."""
-    total = Fraction(0)
-    for exps, c in pairs:
-        term = Fraction(c)
-        for v, e in zip(vals, exps):
-            if e:
-                if v == 0:
-                    raise EvaluationError(
-                        "zero value for a generator with nonzero exponent")
-                term *= v ** e
-        total += term
-    return total
-
-
 # ---- rendering ----
 
 
@@ -629,117 +471,8 @@ def format_terms(names, items) -> str:
                        for exps, c in items])
 
 
-class GroupRingElement(PackedElement):
-    """An element of ZP: a finite sum ``sum_a c_a * u^a`` with integer c_a.
-
-    Internally a packed term dict (see ``PackedElement``).  Treated as
-    immutable; all arithmetic returns fresh objects.
-
-    Example::
-
-        P = TropicalSemifield(["y1", "y2"])
-        one = P.group_ring_one()
-        y1 = P.generator("y1").as_group_ring()
-        print(one + y1)        # 1 + y1
-    """
-
-    __slots__ = ("semifield", "_hash")
-
-    def __init__(self, semifield: TropicalSemifield, terms: dict):
-        clean = {}
-        m = semifield.ngens
-        for exps, c in terms.items():
-            c = int(c)
-            if c == 0:
-                continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != m:
-                raise DimensionError("exponent tuple of wrong length")
-            clean[exps] = c
-        self.semifield = semifield
-        self._terms, self._layout, self._bound = pack_terms(clean, m)
-        self._mins = self._hash = None
-
-    def _wrap(self, terms, lay, bound):
-        """Wrap a packed term dict that is already clean (ring-op results)."""
-        out = object.__new__(GroupRingElement)
-        out.semifield, out._terms, out._layout, out._bound = (
-            self.semifield, terms, lay, bound)
-        out._mins = out._hash = None
-        return out
-
-    @classmethod
-    def from_int(cls, semifield: TropicalSemifield, n: int) -> "GroupRingElement":
-        return cls(semifield, {(0,) * semifield.ngens: n})
-
-    def _operand(self, other):
-        """An int or GroupRingElement operand as a GroupRingElement, else None."""
-        if isinstance(other, int):
-            return GroupRingElement.from_int(self.semifield, other)
-        if isinstance(other, GroupRingElement):
-            _check_same_semifield(self, other)
-            return other
-        return None
-
-    def is_monomial(self) -> bool:
-        """True when a single term with coefficient +1 (a unit coming from P)."""
-        return len(self._terms) == 1 and next(iter(self._terms.values())) == 1
-
-    def monomial_part(self) -> SemifieldElement:
-        if len(self._terms) != 1:
-            raise ValueError("not a single-term element")
-        (exps, _), = self.terms()
-        return SemifieldElement(self.semifield, exps)
-
-    def __mul__(self, other):
-        if isinstance(other, SemifieldElement):
-            other = other.as_group_ring()
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return self._times(b)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        n = int(n)
-        if n < 0:
-            if self.is_monomial():
-                return self.monomial_part().__pow__(n).as_group_ring()
-            raise ValueError("negative power of a non-unit group ring element")
-        if n == 0:
-            return GroupRingElement.from_int(self.semifield, 1)
-        return power(self, n)
-
-    def exact_div(self, den) -> "GroupRingElement":
-        """Exact division in ZP; raises NotLaurentError on any remainder."""
-        if isinstance(den, SemifieldElement):
-            return self * den.inverse()
-        _check_same_semifield(self, den)
-        return self._over(den)
-
-    def evaluate(self, point) -> Fraction:
-        vals = [Fraction(v) for v in point]
-        if len(vals) != self.semifield.ngens:
-            raise DimensionError("point has wrong length")
-        return evaluate_terms(self.terms(), vals)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.from_int(self.semifield, other)
-        return (isinstance(other, GroupRingElement)
-                and self.semifield == other.semifield
-                and self._layout is other._layout
-                and self._terms == other._terms)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.semifield.generators,
-                               frozenset(self._terms.items())))
-        return self._hash
-
-    def __str__(self):
-        return format_terms(self.semifield.generators, sorted(self.terms()))
-
-    def __repr__(self):
-        return "GroupRingElement(%s)" % (str(self),)
+# ``SemifieldElement.as_group_ring``, ``TropicalSemifield.group_ring_one``
+# and the benchmark's tracer (``gencluster.semifield.GroupRingElement``)
+# name the class here.  It is defined in ``laurent``, which imports this
+# module first, so the import sits at the bottom.
+from .laurent import GroupRingElement  # noqa: E402

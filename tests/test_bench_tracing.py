@@ -64,3 +64,39 @@ def test_install_and_uninstall_restore_every_name():
     finally:
         tracer.uninstall()
     assert _namespaces() == before
+
+
+def _mixed_operands():
+    """ZP elements mixed with rank-2 polynomials, semifield elements and
+    ints: (value, class name, rendering) of each result."""
+    P = gencluster.TropicalSemifield(("u", "v"))
+    u = P.generator("u")
+    gr = P.group_ring_one() + u.as_group_ring()
+    lp = (gencluster.LaurentPolynomial.variable(2, P, 0)
+          + gencluster.LaurentPolynomial.monomial(2, P, (0, -1),
+                                                  P.generator("v")))
+    values = [lp * gr, gr * lp, lp + gr, gr + lp, gr - lp, gr * u, u * gr,
+              gr.exact_div(u), u.as_group_ring() ** -2, gr == 1,
+              P.group_ring_one() == 1]
+    return [(x, type(x).__name__, str(x)) for x in values]
+
+
+def test_mixed_operands_agree_under_the_tracer():
+    # installed, GroupRingElement.__rmul__ is a wrapper distinct from
+    # LaurentPolynomial.__rmul__, so CPython tries gr.__rmul__(lp) first
+    # for lp * gr and that call must hand back NotImplemented
+    for _, modname, _ in TARGETS:
+        importlib.import_module(modname)
+    plain = _mixed_operands()
+    tracer = tracing.Tracer(gencluster, clock=lambda: 0.0)
+    try:
+        tracer.install()
+        with tracer.traced_pass("mixed"):
+            traced = _mixed_operands()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert [r[1:] for r in plain][:3] == [
+        ("LaurentPolynomial", "(1 + u)*x1 + (v + u*v)*x2^-1"),
+        ("LaurentPolynomial", "(1 + u)*x1 + (v + u*v)*x2^-1"),
+        ("LaurentPolynomial", "x1 + (1 + u) + v*x2^-1")]

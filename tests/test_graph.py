@@ -14,7 +14,7 @@ from gencluster import (ClusterPattern, InconsistentDegreeTransportError,
                         principal_pattern, verify_initial_cluster_recovery)
 from gencluster.graph import (ExchangeGraph, VerificationReport, VertexRecord,
                               _verify_dedup_transport)
-from gencluster.seeds import mutate_seed
+from gencluster.seeds import _mutate_exchange_data, mutate_seed
 
 
 # ---- canonical form ----
@@ -69,6 +69,20 @@ def test_dedup_transport_flags_degree_mismatch(gen2):
     # a degree-1 one, which valid exploration data can never produce
     with pytest.raises(InconsistentDegreeTransportError):
         _verify_dedup_transport(stored, swapped, (1, 0), gen2.pair)
+
+
+def test_explore_flags_degree_data_that_fails_to_follow_sigma(a2, monkeypatch):
+    # A2 mutations under a pattern that claims degrees (2, 1): the pentagon
+    # closes on a stored seed with its cluster swapped, which the dedup
+    # key finds and only the transport check can reject
+    skewed = ClusterPattern.build([[0, 1], [-1, 0]], degrees=(2, 1))
+    monkeypatch.setattr(graph_module, "mutate_seed",
+                        lambda seed, pair, k: mutate_seed(seed, a2.pair, k))
+    monkeypatch.setattr(graph_module, "_mutate_exchange_data",
+                        lambda seed, pair, k: _mutate_exchange_data(
+                            seed, a2.pair, k))
+    with pytest.raises(InconsistentDegreeTransportError):
+        explore(skewed, depth_limit=10)
 
 
 def test_dedup_transport_flags_a_different_variable(a2):
