@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -372,6 +373,40 @@ def test_trichotomy_needs_complete_graph(gen2):
     t = explore(gen2, depth_limit=2)
     with pytest.raises(ValueError):
         verify_dvector_trichotomy(t)
+
+
+def test_trichotomy_reports_a_relabeled_vertex(a2_graph):
+    # vertex 2 lists its two variables in swapped order, so its
+    # D-matrices no longer match the ids they are filed under
+    graph = dataclasses.replace(a2_graph, vertices=list(a2_graph.vertices))
+    rec = graph.vertices[2]
+    graph.vertices[2] = dataclasses.replace(rec, ids=rec.ids[::-1])
+    not_well_defined = [
+        ((0, 0), (-1, 0), 0, 2), ((0, 1), (0, 1), 0, 2),
+        ((3, 0), (-1, 0), 0, 4), ((3, 1), (0, 1), 0, 4),
+        ((0, 1), (0, 1), 1, 2), ((3, 1), (0, 1), 1, 4),
+        ((0, 0), (-1, 0), 2, 0), ((1, 0), (0, 1), 2, 0),
+        ((1, 0), (0, 1), 2, 1), ((3, 0), (-1, 0), 2, 2),
+        ((0, 3), (-1, 0), 2, 2), ((4, 0), (1, 0), 2, 3),
+        ((4, 0), (1, 0), 2, 4), ((3, 3), (-1, 0), 2, 4),
+        ((0, 4), (1, 0), 3, 2), ((3, 4), (1, 0), 3, 4),
+        ((0, 3), (-1, 0), 4, 0), ((1, 3), (0, 1), 4, 0),
+        ((1, 3), (0, 1), 4, 1), ((3, 3), (-1, 0), 4, 2),
+        ((0, 4), (1, 0), 4, 2), ((4, 3), (1, 0), 4, 3),
+        ((4, 3), (1, 0), 4, 4), ((3, 4), (1, 0), 4, 4)]
+    trichotomy = [((0, 3), -1, True), ((1, 3), 0, False), ((3, 0), -1, True),
+                  ((3, 1), 0, False), ((3, 4), 1, True), ((4, 3), 1, True)]
+    assert verify_dvector_trichotomy(graph).to_json_dict() == {
+        "check": "d-trichotomy", "status": "fail", "complete": True,
+        "checked": 100,
+        "violations": [
+            {"kind": "not-well-defined", "pair": pair,
+             "values": list(values), "base_vertex": w, "vertex": v}
+            for pair, values, w, v in not_well_defined] + [
+            {"kind": "trichotomy", "pair": pair, "d": d,
+             "compatible": compatible}
+            for pair, d, compatible in trichotomy],
+        "details": {"variables": 5, "pairs": 25}}
 
 
 def test_compatible_sets(a2_graph, gen2_graph, a3_graph):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from gencluster import (ClusterPattern, DimensionError, ExchangeMatrix,
                         check_cluster_formula, coefficient_walk,
                         find_skew_symmetrizer, hat_y, mutate_matrix,
                         mutate_seed)
+from gencluster.seeds import ClusterFormulaReport
 
 
 def random_pattern(rng, n, max_degree=3, gens=("u", "v"), max_entry=2,
@@ -256,6 +258,37 @@ def test_cluster_formula_deterministic(prin_a2):
     a = check_cluster_formula(prin_a2, (0, 1), trials=6, rng_seed=99)
     b = check_cluster_formula(prin_a2, (0, 1), trials=6, rng_seed=99)
     assert a == b
+
+
+def test_cluster_formula_report_on_a4():
+    a4 = ClusterPattern.build([[0, 1, 0, 0], [-1, 0, 1, 0],
+                               [0, -1, 0, 1], [0, 0, -1, 0]])
+    rep = check_cluster_formula(a4, (0, 1, 2, 3, 1), trials=5, rng_seed=2024)
+    assert rep == ClusterFormulaReport((0, 1, 2, 3, 1), (), 5, 5, True, [],
+                                       (Fraction(-1),))
+    assert all(type(d) is Fraction for d in rep.determinants)
+
+
+def test_cluster_formula_reports_a_wrong_cluster(gen2_coeff, monkeypatch):
+    # x1 + 1 in place of x1 breaks both identities, with a det that
+    # depends on the point
+    seed_at = gen2_coeff.seed_at
+
+    def shifted(path):
+        s = seed_at(path)
+        return Seed(s.B, (s.x[0] + 1, s.x[1]), s.y)
+
+    monkeypatch.setattr(gen2_coeff, "seed_at", shifted)
+    rep = check_cluster_formula(gen2_coeff, (0, 1), trials=3, rng_seed=7)
+    assert rep == ClusterFormulaReport(
+        (0, 1), (), 3, 3, False,
+        [{"x_point": ["6/7", "-1/9"], "p_point": ["1/3", "1/9"],
+          "det": "623/4997"},
+         {"x_point": ["-4/7", "-7/2"], "p_point": ["9/7", "1/2"],
+          "det": "1079/1023"},
+         {"x_point": ["4", "-7/4"], "p_point": ["1/9", "3/5"],
+          "det": "19841/45761"}],
+        (Fraction(623, 4997), Fraction(19841, 45761), Fraction(1079, 1023)))
 
 
 # ---- seed container checks ----
