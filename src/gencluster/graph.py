@@ -453,20 +453,23 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
     violations = []
     for w in range(nv):
         D_from_w = _d_matrices_from(graph, w)
+        filed = {}   # id -> its table entries against w's cluster
         for v in range(nv):
             D = D_from_w[v]
             if w == 0 and D != d_matrix_from_laurent(graph.vertices[v].reached):
                 violations.append({"kind": "recurrence-vs-laurent", "vertex": v})
-            for i in range(n):
-                for k in range(n):
-                    pair_key = (var_at[v][i], var_at[w][k])
-                    first = table.setdefault(pair_key, D[i][k])
-                    if first != D[i][k]:
+            for a, col in zip(var_at[v], D):
+                if filed.get(a) == col:
+                    continue
+                for b, d in zip(var_at[w], col):
+                    first = table.setdefault((a, b), d)
+                    if first != d:
                         violations.append({"kind": "not-well-defined",
-                                           "pair": pair_key,
-                                           "values": [first, D[i][k]],
+                                           "pair": (a, b),
+                                           "values": [first, d],
                                            "base_vertex": w,
                                            "vertex": v})
+                filed[a] = tuple(table[a, b] for b in var_at[w])
     for (a, b), d in sorted(table.items()):
         compatible = a == b or bool(index.nbr[a] >> b & 1)
         ok = d == -1 if a == b else d == 0 if compatible else d > 0

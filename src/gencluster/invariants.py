@@ -17,7 +17,7 @@ g-vector.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from . import matrices as mat
 from .errors import (DimensionError, EvaluationError,
@@ -134,15 +134,16 @@ def c_matrix(principal: PrincipalPattern, path):
     generators alone; any z-exponent would mean the pattern is not
     principal and raises NonMonomialCoefficientError.
     """
-    _, y = coefficient_walk(principal, path)
-    cols = []
+    return _c_columns(principal, coefficient_walk(principal, path)[1])
+
+
+def _c_columns(principal: PrincipalPattern, y):
+    """The y-exponent vectors of the coefficients ``y``; see ``c_matrix``."""
     for c in y:
-        ypart, zpart = principal.split_exponents(c.exponents)
-        if any(e != 0 for e in zpart):
+        if any(principal.split_exponents(c.exponents)[1]):
             raise NonMonomialCoefficientError(
                 "coefficient %s involves interior exchange generators" % (c,))
-        cols.append(tuple(ypart))
-    return tuple(cols)
+    return tuple(principal.split_exponents(c.exponents)[0] for c in y)
 
 
 def g_vector(principal: PrincipalPattern, seed_var: LaurentPolynomial):
@@ -197,22 +198,22 @@ def f_polynomials(principal: PrincipalPattern, seed: Seed):
 
 
 def check_cg_duality(principal: PrincipalPattern, path, seed: Seed = None) -> bool:
-    """S R C_t R^{-1} S^{-1} G_t^T = I with S the symmetrizer of R*B_{t0}."""
-    path = tuple(path)
+    """S R C_t R^{-1} S^{-1} G_t^T = I with S the symmetrizer of R*B_{t0}.
+
+    C and G are read from ``seed`` (the seed at ``path`` if none is
+    given).  With w_k = S_k R_k and L = lcm(w), each entry is checked on
+    ints: L delta_ij = w_i sum_k (c_k)_i (g_k)_j L / w_k.
+    """
     if seed is None:
-        seed = principal.seed_at(path)
-    C = c_matrix(principal, path)
+        seed = principal.seed_at(tuple(path))
+    C = _c_columns(principal, seed.y)
     G = g_matrix(principal, seed)
     n = principal.n
-    R = principal.pair.degrees
-    S = principal.rb_symmetrizer()
-    # rows of the row-major matrices: C_rows[j][i] = (c_i)_j
-    c_rows = tuple(tuple(Fraction(C[i][j]) for i in range(n)) for j in range(n))
-    g_rows = tuple(tuple(Fraction(G[i][j]) for i in range(n)) for j in range(n))
-    m = mat.scale_rows([S[i] * R[i] for i in range(n)], c_rows)
-    m = mat.scale_columns(m, [Fraction(1, R[j] * S[j]) for j in range(n)])
-    lhs = mat.mat_mul(m, mat.transpose(g_rows))
-    return lhs == mat.identity(n, Fraction(1))
+    w = [s * r for s, r in zip(principal.rb_symmetrizer(), principal.pair.degrees)]
+    L = math.lcm(*w)
+    scaled = [[x * (L // wk) for x in c] for c, wk in zip(C, w)]
+    return all(w[i] * sum(c[i] * g[j] for c, g in zip(scaled, G))
+               == (L if i == j else 0) for i in range(n) for j in range(n))
 
 
 # ---- separation of additions ----

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import add, sub
 
 from .errors import DimensionError, EvaluationError
@@ -349,27 +350,34 @@ class LaurentPolynomial:
         return self._wrap(*pack_terms(out, self._layout.nvars))
 
     def evaluate(self, x_point, semifield_point=()) -> Fraction:
-        """Exact evaluation at rational points; x coordinates must be nonzero."""
-        xs = [Fraction(v) for v in x_point]
+        """Exact evaluation at rational points; x coordinates must be nonzero.
+
+        The terms are summed on ints, then scaled by a^lo * b^-hi for each
+        value a/b whose exponents span [lo, hi]."""
+        xs = [v if type(v) is Fraction else Fraction(v) for v in x_point]
         if len(xs) != self.rank:
             raise DimensionError("x point has wrong length")
-        if any(v == 0 for v in xs):
+        if not all(xs):
             raise EvaluationError("zero x-coordinate")
-        ps = [Fraction(v) for v in semifield_point]
+        ps = [v if type(v) is Fraction else Fraction(v)
+              for v in semifield_point]
         if len(ps) != self.semifield.ngens:
             raise DimensionError("point has wrong length")
-        vals = xs + ps
-        total = Fraction(0)
-        for exps, c in self.terms():
-            term = Fraction(c)
-            for v, e in zip(vals, exps):
-                if e:
-                    if v == 0:
-                        raise EvaluationError(
-                            "zero value for a generator with nonzero exponent")
-                    term *= v ** e
-            total += term
-        return total
+        terms = self.terms()
+        num = den = 1
+        tables = []   # per variable: exponent -> a^(e-lo) * b^(hi-e)
+        for v, es in zip(xs + ps, zip(*(exps for exps, _ in terms))):
+            lo, hi = min(es), max(es)
+            if not v and (lo or hi):
+                raise EvaluationError(
+                    "zero value for a generator with nonzero exponent")
+            a, b = v.numerator, v.denominator
+            tables.append({e: a ** (e - lo) * b ** (hi - e) for e in set(es)})
+            num *= a ** max(lo, 0) * b ** max(-hi, 0)
+            den *= a ** max(-lo, 0) * b ** max(hi, 0)
+        total = sum(c * prod(map(dict.__getitem__, tables, exps))
+                    for exps, c in terms)
+        return Fraction(total * num, den)
 
     # ---- equality, rendering ----
 

@@ -1,13 +1,14 @@
 """Tiny exact matrix helpers on tuples of row tuples.
 
 Everything in this package works with matrices small enough (rank <= 8)
-that plain tuples plus Fraction arithmetic beat pulling in a numeric
-dependency, and exactness is non-negotiable.
+that plain tuples of ints beat pulling in a numeric dependency, and
+exactness is non-negotiable; ``det`` also takes Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 
 def freeze(rows):
@@ -38,27 +39,22 @@ def scale_rows(d, a):
     return tuple(tuple(di * x for x in row) for di, row in zip(d, a))
 
 
-def is_skew_symmetric(a):
-    n = len(a)
-    return all(a[i][j] == -a[j][i] for i in range(n) for j in range(n))
-
-
 def det(a):
-    """Exact determinant by Fraction Gaussian elimination, O(n^3)."""
-    m = [[Fraction(x) for x in row] for row in a]
-    n = len(m)
-    out = Fraction(1)
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
+    """Exact determinant of ints or Fractions, as a Fraction: each row is
+    cleared of denominators, then Bareiss elimination runs on ints."""
+    dens = [lcm(*(x.denominator for x in row)) for row in a]
+    rows = [[x.numerator * (d // x.denominator) for x in row]
+            for row, d in zip(a, dens)]
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
         if p is None:
             return Fraction(0)
         if p != k:
-            m[k], m[p] = m[p], m[k]
-            out = -out
-        pivot = m[k][k]
-        out *= pivot
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        pivot, top = rows[k][k], rows[k]
         for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return out
+            f = rows[i][k]
+            rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = pivot
+    return Fraction(sign * rows[-1][-1] if rows else 1, prod(dens))

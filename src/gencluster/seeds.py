@@ -104,7 +104,7 @@ def find_skew_symmetrizer(rows):
             s[i] = s[i] * lcm_den / g
     out = tuple(int(v) for v in s)
     check = mat.scale_rows(out, m)
-    if not mat.is_skew_symmetric(check):
+    if any(check[i][j] != -check[j][i] for i in range(n) for j in range(n)):
         raise NotSkewSymmetrizableError("symmetrizer candidate failed verification")
     return out
 
@@ -501,7 +501,10 @@ def check_cluster_formula(pattern: ClusterPattern, t_path, t0_path=(),
     cluster at t0: H[i][j] = x_{i;t0} * d x_{j;t} / d x_{i;t0} / x_{j;t},
     evaluated exactly at random rational points (resampled whenever some
     cluster variable vanishes at the point).  S is the skew-symmetrizer
-    of R*B_{t0}.
+    of R*B_{t0}.  Both are checked on ints: with L = lcm(R_j S_j) and
+    H = Hn / den for an int matrix Hn, the first reads
+    Hn (L B_t R^{-1} S^{-1}) Hn^T = den^2 (L B_{t0} R^{-1} S^{-1}), and
+    det H = det(Hn) / den^n.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1, got %d" % trials)
@@ -511,17 +514,12 @@ def check_cluster_formula(pattern: ClusterPattern, t_path, t0_path=(),
     walk = tuple(reversed(t0_path)) + t_path
     seed_t = based.seed_at(walk)
     n = based.n
-    R = based.pair.degrees
-    S = based.rb_symmetrizer()
+    w = [r * s for r, s in zip(based.pair.degrees, based.rb_symmetrizer())]
+    scale = [math.lcm(*w) // wj for wj in w]   # L R^{-1} S^{-1}
 
     jac = [[seed_t.x[j].partial_derivative(i) for j in range(n)] for i in range(n)]
-
-    def rinv_sinv(rows):
-        return tuple(tuple(Fraction(rows[i][j], R[j] * S[j]) for j in range(n))
-                     for i in range(n))
-
-    target = rinv_sinv(based.b0.rows)
-    moving = rinv_sinv(seed_t.B.rows)
+    target = mat.scale_columns(based.b0.rows, scale)
+    moving = mat.scale_columns(seed_t.B.rows, scale)
 
     rng = random.Random(rng_seed)
     m = based.semifield.ngens
@@ -538,13 +536,15 @@ def check_cluster_formula(pattern: ClusterPattern, t_path, t0_path=(),
         else:
             failures.append({"reason": "could not find a nonvanishing point"})
             continue
-        H = tuple(tuple(x_point[i] * jac[i][j].evaluate(x_point, p_point) / vals[j]
-                        for j in range(n)) for i in range(n))
-        lhs = mat.mat_mul(mat.mat_mul(H, moving), mat.transpose(H))
-        d = mat.det(H)
+        H = [[x_point[i] * jac[i][j].evaluate(x_point, p_point) / vals[j]
+              for j in range(n)] for i in range(n)]
+        den = math.lcm(*(h.denominator for row in H for h in row))
+        Hn = [[h.numerator * (den // h.denominator) for h in row] for row in H]
+        lhs = mat.mat_mul(mat.mat_mul(Hn, moving), mat.transpose(Hn))
+        d = mat.det(Hn) / den ** n
         dets.add(d)
         checked += 1
-        if lhs != target or d not in (1, -1):
+        if lhs != mat.scale_rows([den * den] * n, target) or d not in (1, -1):
             failures.append({"x_point": [str(v) for v in x_point],
                              "p_point": [str(v) for v in p_point],
                              "det": str(d)})

@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import add
 
-from .errors import DimensionError, EvaluationError, NotLaurentError
+from .errors import DimensionError, NotLaurentError
 
 
 class TropicalSemifield:
@@ -189,15 +189,7 @@ class SemifieldElement:
 
     def evaluate(self, point) -> Fraction:
         """Evaluate at positive/nonzero rational generator values."""
-        vals = [Fraction(v) for v in point]
-        if len(vals) != self.semifield.ngens:
-            raise DimensionError("point has wrong length")
-        out = Fraction(1)
-        for v, e in zip(vals, self.exponents):
-            if e and v == 0:
-                raise EvaluationError("zero value for a generator with nonzero exponent")
-            out *= v ** e
-        return out
+        return self.as_group_ring().evaluate(point)
 
     def __eq__(self, other):
         return (isinstance(other, SemifieldElement)

@@ -43,6 +43,12 @@ def test_traced_target_resolves(name, modname, attr):
         assert callable(getattr(module, member)), (name, attr)
 
 
+def _import_targets():
+    """Import every module the tracer patches, as a full run would have."""
+    for _, modname, _ in TARGETS:
+        importlib.import_module(modname)
+
+
 def _namespaces():
     """Every gencluster module namespace and every traced class dict."""
     out = {name: dict(vars(m)) for name, m in sys.modules.items()
@@ -56,6 +62,7 @@ def _namespaces():
 
 
 def test_install_and_uninstall_restore_every_name():
+    _import_targets()
     before = _namespaces()
     tracer = tracing.Tracer(gencluster, clock=lambda: 0.0)
     try:
@@ -85,8 +92,7 @@ def test_mixed_operands_agree_under_the_tracer():
     # installed, GroupRingElement.__rmul__ is a wrapper distinct from
     # LaurentPolynomial.__rmul__, so CPython tries gr.__rmul__(lp) first
     # for lp * gr and that call must hand back NotImplemented
-    for _, modname, _ in TARGETS:
-        importlib.import_module(modname)
+    _import_targets()
     plain = _mixed_operands()
     tracer = tracing.Tracer(gencluster, clock=lambda: 0.0)
     try:

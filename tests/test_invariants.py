@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gencluster import (DimensionError, LaurentPolynomial, NotHomogeneousError,
-                        PrincipalPattern, c_matrix, check_cg_duality,
+                        PrincipalPattern, Seed, c_matrix, check_cg_duality,
                         d_matrix_by_recurrence, d_matrix_from_laurent,
                         f_polynomial, f_polynomials, g_matrix, g_vector,
                         principal_companion, principal_pattern)
@@ -130,6 +130,17 @@ def test_cg_duality(prin_a2, prin_gen2):
     for pattern in (prin_a2, prin_gen2):
         for path in ((), (0,), (1,), (0, 1), (0, 1, 0, 1), (1, 0, 1, 0, 1)):
             assert check_cg_duality(pattern, path)
+
+
+def test_cg_duality_reads_the_given_seed(prin_a2, prin_gen2):
+    # C comes from the seed's own coefficients: inverting one of them
+    # breaks the duality even though the path is unchanged
+    for pattern in (prin_a2, prin_gen2):
+        path = (0, 1)
+        seed = pattern.seed_at(path)
+        assert check_cg_duality(pattern, path, seed)
+        altered = Seed(seed.B, seed.x, (seed.y[0].inverse(),) + seed.y[1:])
+        assert not check_cg_duality(pattern, path, altered)
 
 
 @given(st.integers(0, 10 ** 6))

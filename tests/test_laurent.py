@@ -165,11 +165,43 @@ def test_evaluate_is_a_homomorphism(a, p1, p2, pu):
     assert got == v * v + v
 
 
+def _evaluate_by_fractions(p, x_point, s_point):
+    """Term-by-term Fraction evaluation: the reference for ``evaluate``."""
+    vals = [Fraction(v) for v in (*x_point, *s_point)]
+    total = Fraction(0)
+    for exps, c in p.terms():
+        term = Fraction(c)
+        for v, e in zip(vals, exps):
+            term *= v ** e
+        total += term
+    return total
+
+
+nonzero_values = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9)).filter(bool)
+
+
+@given(laurents, nonzero_values, nonzero_values, nonzero_values)
+def test_evaluate_matches_fraction_reference(a, p1, p2, pu):
+    got = a.evaluate((p1, p2), (pu,))
+    assert isinstance(got, Fraction)
+    assert got == _evaluate_by_fractions(a, (p1, p2), (pu,))
+
+
 def test_evaluate_errors():
     with pytest.raises(EvaluationError):
         (X1 ** -1).evaluate((0, 1), (1,))
+    with pytest.raises(EvaluationError):   # even where no term reads x1
+        X2.evaluate((0, 1), (1,))
     f = X1 + X2
     assert f.evaluate((Fraction(1, 2), 2), (3,)) == Fraction(5, 2)
+    for uexp in (1, -2):
+        with pytest.raises(EvaluationError):
+            (f + mono(0, 1, 3, uexp)).evaluate((1, 2), (0,))
+    # every exponent of u is 0, so u = 0 is a valid point
+    assert f.evaluate((Fraction(-1, 3), 2), (0,)) == Fraction(5, 3)
+    assert LaurentPolynomial.zero(2, P).evaluate((1, 1), (0,)) == 0
 
 
 def test_rank_mismatch_rejected():

@@ -40,3 +40,12 @@ def test_det_edge_cases():
     assert det(()) == 1
     assert det(((0, 1), (1, 0))) == -1
     assert det(((1, 2), (2, 4))) == 0
+    # a zero pivot that appears only after the first elimination step
+    assert det(((1, 1, 1), (1, 1, 2), (1, 2, 3))) == -1
+    assert det(((0, 2, 1), (3, 0, 0), (0, 1, 1))) == -3
+    assert det(((1, 2, 3), (2, 4, 6), (1, 0, 1))) == 0
+    assert det(((Fraction(1, 2), 0), (0, Fraction(-2, 3)))) == Fraction(-1, 3)
+    for a in ((), ((5,),), ((0, 0), (0, 0)), ((1, 2), (3, 4)),
+              ((Fraction(1, 2), 1), (1, 2))):
+        got = det(a)
+        assert type(got) is Fraction and got == det_by_permutations(a)
