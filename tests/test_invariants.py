@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -143,6 +144,18 @@ def test_cg_duality_reads_the_given_seed(prin_a2, prin_gen2):
         assert not check_cg_duality(pattern, path, altered)
 
 
+def _cg_duality_by_fractions(principal, seed):
+    """S R C R^{-1} S^{-1} G^T = I entry by entry in Fractions: the
+    reference for ``check_cg_duality``."""
+    n = principal.n
+    R, S = principal.pair.degrees, principal.rb_symmetrizer()
+    C = [principal.split_exponents(c.exponents)[0] for c in seed.y]
+    G = g_matrix(principal, seed)
+    return all(sum(Fraction(S[i] * R[i] * C[k][i] * G[k][j], R[k] * S[k])
+                   for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
+
+
 @given(st.integers(0, 10 ** 6))
 def test_cg_duality_random_principal(seed):
     rng = random.Random(seed)
@@ -150,6 +163,12 @@ def test_cg_duality_random_principal(seed):
     p = principal_pattern(base.b0.rows, degrees=base.pair.degrees)
     path = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
     assert check_cg_duality(p, path)
+    at = p.seed_at(path)
+    k = rng.randrange(2)
+    altered = Seed(at.B, at.x, tuple(c.inverse() if i == k else c
+                                     for i, c in enumerate(at.y)))
+    for s in (at, altered):
+        assert check_cg_duality(p, path, s) == _cg_duality_by_fractions(p, s)
 
 
 # ---- separation of additions ----
