@@ -369,6 +369,15 @@ def test_trichotomy(a2_graph, gen2_graph, a3_graph, gen3_graph):
         assert rep.details["pairs"] == nvars * nvars
 
 
+@pytest.mark.slow
+def test_trichotomy_on_complete_e6():
+    graph = explore(ClusterPattern.build(_branched_chain(6)), vertex_limit=1000)
+    assert graph.complete and graph.vertex_count() == 833
+    rep = verify_dvector_trichotomy(graph)
+    assert rep.passed, rep.violations[:3]
+    assert rep.details == {"variables": 42, "pairs": 1764}
+
+
 def test_trichotomy_needs_complete_graph(gen2):
     t = explore(gen2, depth_limit=2)
     with pytest.raises(ValueError):

@@ -197,3 +197,9 @@ def test_separation_rejects_mismatched_patterns(gen2_coeff, prin_a2):
     from gencluster import separation_reconstruct
     with pytest.raises(DimensionError):
         separation_reconstruct(gen2_coeff, prin_a2, (0,), 0)
+
+
+def test_separation_on_the_complete_gen3_graph(gen3, gen3_graph):
+    # rank 3 with tropical y and an interior coefficient: all 60 values
+    assert gen3_graph.complete and gen3_graph.vertex_count() == 20
+    _check_separation(gen3, [rec.path for rec in gen3_graph.vertices])
