@@ -49,10 +49,11 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 from . import matrices as mat
 from .errors import InconsistentDegreeTransportError, UnknownVariableError
-from .invariants import d_matrix_from_laurent, d_recurrence_step
+from .invariants import d_matrix_from_laurent, d_step_apply, d_step_weights
 from .seeds import (ClusterPattern, MutationPair, Seed, _mutate_exchange_data,
                     mutate_seed)
 
@@ -410,23 +411,33 @@ def compatibility(graph: ExchangeGraph, a, b) -> bool:
     return bool(_Membership(graph).hits(_ids_named(names, [a, b])))
 
 
-def _d_matrices_from(graph: ExchangeGraph, base: int):
+def _d_steps(graph: ExchangeGraph):
+    """The recurrence data of every edge, which depends on the table
+    only: ``steps[u]`` lists, per direction k, the target w, k, the
+    weights ``d_step_weights`` of u's exchange matrix and the relabeling
+    into w's indexing (an ``itemgetter`` of the inverse of sigma; at
+    rank 1, where that would return a column, ``tuple``)."""
+    n, degrees = graph.pattern.n, graph.pattern.pair.degrees
+    return [[(w, k, *d_step_weights(rec.reached.B, degrees, k),
+              itemgetter(*sorted(range(n), key=sigma.__getitem__)) if n > 1
+              else tuple) for k, (w, sigma) in enumerate(row)]
+            for rec, row in zip(graph.vertices, graph.succ)]
+
+
+def _d_matrices_from(graph: ExchangeGraph, base: int, steps):
     """D-matrix of every vertex against the cluster at ``base``: one BFS
-    over the table, one recurrence step per tree edge, each result
-    relabeled into the target vertex's own indexing."""
-    degrees = graph.pattern.pair.degrees
+    over the table, one recurrence step per tree edge with the data of
+    ``steps`` (from ``_d_steps``)."""
     D = [None] * graph.vertex_count()
     D[base] = mat.identity(graph.pattern.n, -1)
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
-        b = graph.vertices[u].reached.B
-        for k, (w, sigma) in enumerate(graph.succ[u]):
+    order = [base]
+    for u in order:
+        cols = D[u]
+        for w, k, pos, neg, relabel in steps[u]:
             if D[w] is None:
-                cols = d_recurrence_step(D[u], b, degrees, k)
-                # column i lands at position sigma[i] of w
-                D[w] = tuple(c for _, c in sorted(zip(sigma, cols)))
-                queue.append(w)
+                D[w] = relabel(cols[:k] + (d_step_apply(cols, k, pos, neg),)
+                               + cols[k + 1:])
+                order.append(w)
     return D
 
 
@@ -438,8 +449,9 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
 
     Requires a completed exploration (compatibility must be exact).
     D-vectors against each base vertex come from the integer recurrence
-    run over a breadth-first tree of the transition table rooted there;
-    from the root that tree is the exploration's own, and those
+    run over a breadth-first tree of the transition table rooted there,
+    with each edge's weights built once per call and shared by all the
+    trees; from the root that tree is the exploration's own, and those
     D-matrices are re-checked against the Laurent expansions here.
     """
     if not graph.complete:
@@ -449,10 +461,11 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
     nv = graph.vertex_count()
     n = graph.pattern.n
 
+    steps = _d_steps(graph)
     table = {}
     violations = []
     for w in range(nv):
-        D_from_w = _d_matrices_from(graph, w)
+        D_from_w = _d_matrices_from(graph, w, steps)
         filed = {}   # id -> its table entries against w's cluster
         for v in range(nv):
             D = D_from_w[v]

@@ -18,6 +18,8 @@ g-vector.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, mul, sub
 
 from . import matrices as mat
 from .errors import (DimensionError, EvaluationError,
@@ -29,31 +31,48 @@ from .seeds import (ClusterPattern, ExchangeMatrix, MutationPair, Seed,
 from .semifield import TropicalSemifield
 
 
+def d_step_weights(b: ExchangeMatrix, degrees, k):
+    """The weights of the recurrence step in direction k at ``b``: the
+    pairs (l, b_lk r_k) with b_lk > 0 and the pairs (l, -b_lk r_k) with
+    b_lk < 0.  They depend on the exchange matrix only."""
+    rk = degrees[k]
+    pos, neg = [], []
+    for l, row in enumerate(b.rows):
+        if row[k] > 0:
+            pos.append((l, row[k] * rk))
+        elif row[k] < 0:
+            neg.append((l, -row[k] * rk))
+    return pos, neg
+
+
+def d_step_apply(cols, k, pos, neg):
+    """The new k-th column of the recurrence step with weights
+    ``(pos, neg)`` from ``d_step_weights``:
+
+        d_k' = -d_k + max(sum_{(l, w) in pos} d_l w, sum_{(l, w) in neg} d_l w)
+
+    with the componentwise maximum.  Both sums start as an endless run
+    of zeros, which ``zip`` and ``map`` cut to the length of d_k."""
+    p = q = repeat(0)
+    for l, w in pos:
+        p = (list(map(add, p, cols[l])) if w == 1
+             else [a + x * w for a, x in zip(p, cols[l])])
+    for l, w in neg:
+        q = (list(map(add, q, cols[l])) if w == 1
+             else [a + x * w for a, x in zip(q, cols[l])])
+    return tuple(map(sub, map(max, p, q), cols[k]))
+
+
 def d_recurrence_step(cols, b: ExchangeMatrix, degrees, k):
     """One step of the denominator recurrence: mutate in direction k.
 
     ``cols`` are the D-matrix columns at a seed with exchange matrix
     ``b``.  Every column but the k-th is kept; the k-th becomes
-
-        d_k' = -d_k + max(sum_{b_{lk} > 0} d_l b_{lk} r_k,
-                          sum_{b_{lk} < 0} -d_l b_{lk} r_k)
-
-    with the componentwise maximum.  Returns the new column tuple.
+    ``d_step_apply`` of the weights ``d_step_weights(b, degrees, k)``.
+    Returns the new column tuple.
     """
-    n = b.n
-    rk = degrees[k]
-    pos_sum = [0] * n
-    neg_sum = [0] * n
-    for l in range(n):
-        w = b.rows[l][k] * rk
-        if w > 0:
-            for i in range(n):
-                pos_sum[i] += cols[l][i] * w
-        elif w < 0:
-            for i in range(n):
-                neg_sum[i] -= cols[l][i] * w
-    new_k = tuple(-cols[k][i] + max(pos_sum[i], neg_sum[i]) for i in range(n))
-    return cols[:k] + (new_k,) + cols[k + 1:]
+    pos, neg = d_step_weights(b, degrees, k)
+    return cols[:k] + (d_step_apply(cols, k, pos, neg),) + cols[k + 1:]
 
 
 def d_matrix_by_recurrence(pattern: ClusterPattern, path):
@@ -232,29 +251,6 @@ def _general_values(general: ClusterPattern, principal: PrincipalPattern):
     return vals
 
 
-def _tropical_eval(fpoly: GroupRingElement, values):
-    """Evaluate an integer-coefficient polynomial in a tropical semifield.
-
-    Positive integer coefficients collapse (a (+) a = a); a negative or
-    zero coefficient has no tropical meaning and raises EvaluationError.
-    """
-    acc = None
-    for exps, c in fpoly.terms():
-        if c <= 0:
-            raise EvaluationError(
-                "tropical evaluation needs positive coefficients, got %d" % c)
-        term = values[0].semifield.one() if values else None
-        if term is None:
-            raise ValueError("no generator values supplied")
-        for v, e in zip(values, exps):
-            if e:
-                term = term * v ** e
-        acc = term if acc is None else acc.tropical_add(term)
-    if acc is None:
-        raise ValueError("cannot tropically evaluate the zero polynomial")
-    return acc
-
-
 def separation_reconstruct(general: ClusterPattern, principal: PrincipalPattern,
                            path, i: int):
     """Rebuild (y_{i;t}, x_{i;t}) of ``general`` from principal invariants.
@@ -265,43 +261,51 @@ def separation_reconstruct(general: ClusterPattern, principal: PrincipalPattern,
     where C, G, F come from the principal pattern with the same initial
     matrix and degrees, |_P evaluates tropically at general's initial
     coefficients and interior z-values, and |_F substitutes
-    yhat_j = y_j prod_i x_i^{b_{ij}} into the F-polynomial.
+    yhat_j = y_j prod_i x_i^{b_{ij}} into the F-polynomial.  C is read
+    from the principal seed's coefficients; G and F are computed for
+    every variable, so a defect in any of them raises.  Values in P are
+    exponent vectors: a term u^e of an F-polynomial is worth
+    sum_g e_g v_g, for v_g the vector of generator g's value, and
+    tropical addition is the componentwise minimum (the coefficients
+    must be positive).  x_{i;t} is built from one term dict.
     Returns the pair (coefficient, cluster variable).
     """
     if general.b0 != principal.b0:
         raise DimensionError("patterns disagree on the initial exchange matrix")
     if general.pair.degrees != principal.pair.degrees:
         raise DimensionError("patterns disagree on the exchange degrees")
-    path = tuple(path)
     n = general.n
     P = general.semifield
 
-    seed_pr = principal.seed_at(path)
-    C = c_matrix(principal, path)
+    seed_pr = principal.seed_at(tuple(path))
+    C = _c_columns(principal, seed_pr.y)
     G = g_matrix(principal, seed_pr)
-    F = f_polynomials(principal, seed_pr)
-    b_t = seed_pr.B
+    value_cols = list(zip(*(v.exponents for v in _general_values(general, principal))))
+    f_terms, f_trop = [], []   # per F: (terms, their vectors in P), its value
+    for f in f_polynomials(principal, seed_pr):
+        terms = f.terms()
+        for _, c in terms:
+            if c <= 0:
+                raise EvaluationError(
+                    "tropical evaluation needs positive coefficients, got %d" % c)
+        if not terms:
+            raise ValueError("cannot tropically evaluate the zero polynomial")
+        vecs = [tuple(sum(map(mul, e, col)) for col in value_cols) for e, _ in terms]
+        f_terms.append((terms, vecs))
+        f_trop.append(tuple(map(min, zip(*vecs))))
 
-    values = _general_values(general, principal)
-    f_trop = [_tropical_eval(f, values) for f in F]
+    y_vecs = [y.exponents for y in general.y0] + f_trop
+    powers = C[i] + seed_pr.B.column(i)
+    y_rec = P.monomial(sum(map(mul, col, powers)) for col in zip(*y_vecs))
 
-    y_rec = P.one()
-    for j in range(n):
-        y_rec = y_rec * general.y0[j] ** C[i][j]
-    for j in range(n):
-        y_rec = y_rec * f_trop[j] ** b_t.entry(j, i)
-
-    x_rec = LaurentPolynomial.monomial(n, P, G[i])
-    khat = LaurentPolynomial.zero(n, P)
-    b0 = general.b0
-    for exps, c in F[i].terms():
-        ypart, _ = principal.split_exponents(exps)
-        xexp = tuple(sum(b0.entry(l, j) * ypart[j] for j in range(n))
-                     for l in range(n))
-        scalar = P.one()
-        for v, e in zip(values, exps):
-            if e:
-                scalar = scalar * v ** e
-        khat = khat + LaurentPolynomial.monomial(n, P, xexp, scalar.as_group_ring(c))
-    x_rec = (x_rec * khat).scalar_mul(f_trop[i].inverse())
+    groups = {}   # x-exponent -> {P-exponent: coefficient}
+    for (e, c), vec in zip(*f_terms[i]):
+        ypart = principal.split_exponents(e)[0]
+        xexp = tuple(g + sum(map(mul, row, ypart))
+                     for g, row in zip(G[i], general.b0.rows))
+        group = groups.setdefault(xexp, {})
+        uexp = tuple(map(sub, vec, f_trop[i]))
+        group[uexp] = group.get(uexp, 0) + c
+    x_rec = LaurentPolynomial(n, P, {x: GroupRingElement(P, group)
+                                     for x, group in groups.items()})
     return y_rec, x_rec

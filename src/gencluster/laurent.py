@@ -352,8 +352,15 @@ class LaurentPolynomial:
     def evaluate(self, x_point, semifield_point=()) -> Fraction:
         """Exact evaluation at rational points; x coordinates must be nonzero.
 
-        The terms are summed on ints, then scaled by a^lo * b^-hi for each
-        value a/b whose exponents span [lo, hi]."""
+        The terms are summed on ints by ``_term_values``, then scaled."""
+        _, values, num, den = self._term_values(x_point, semifield_point)
+        return Fraction(sum(values) * num, den)
+
+    def _term_values(self, x_point, semifield_point):
+        """The terms and, on one integer scale, their values at the point:
+        term t is worth values[t] * num / den.  Each value a/b whose
+        exponents span [lo, hi] gives one table e -> a^(e-lo) * b^(hi-e)
+        and contributes a^lo * b^-hi to the scale."""
         xs = [v if type(v) is Fraction else Fraction(v) for v in x_point]
         if len(xs) != self.rank:
             raise DimensionError("x point has wrong length")
@@ -375,9 +382,9 @@ class LaurentPolynomial:
             tables.append({e: a ** (e - lo) * b ** (hi - e) for e in set(es)})
             num *= a ** max(lo, 0) * b ** max(-hi, 0)
             den *= a ** max(-lo, 0) * b ** max(hi, 0)
-        total = sum(c * prod(map(dict.__getitem__, tables, exps))
-                    for exps, c in terms)
-        return Fraction(total * num, den)
+        values = [c * prod(map(dict.__getitem__, tables, exps))
+                  for exps, c in terms]
+        return terms, values, num, den
 
     # ---- equality, rendering ----
 

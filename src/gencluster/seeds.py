@@ -492,6 +492,18 @@ def _random_fraction(rng, positive=False):
     return Fraction(num, rng.randint(1, 9))
 
 
+def _jacobian_column(var: LaurentPolynomial, x_point, p_point):
+    """Column j of H for var = x_{j;t}, from one pass over its terms:
+    ``(N, s)`` with H[i][j] = x_i (d var / d x_i) / var = N[i] / s at
+    the point, where s = sum_t m_t and N[i] = sum_t e_i(t) m_t over the
+    terms m_t = c_t x^e(t) u^... of var there, all on the integer scale
+    of ``_term_values`` (which cancels).  s is 0 exactly when var
+    vanishes at the point."""
+    terms, values, _, _ = var._term_values(x_point, p_point)
+    exps = zip(*(e[:var.rank] for e, _ in terms))
+    return [sum(map(operator.mul, es, values)) for es in exps], sum(values)
+
+
 def check_cluster_formula(pattern: ClusterPattern, t_path, t0_path=(),
                           trials: int = 20, rng_seed: int = DEFAULT_RNG_SEED
                           ) -> ClusterFormulaReport:
@@ -500,11 +512,12 @@ def check_cluster_formula(pattern: ClusterPattern, t_path, t0_path=(),
     H is built from the Jacobian of the cluster at t with respect to the
     cluster at t0: H[i][j] = x_{i;t0} * d x_{j;t} / d x_{i;t0} / x_{j;t},
     evaluated exactly at random rational points (resampled whenever some
-    cluster variable vanishes at the point).  S is the skew-symmetrizer
-    of R*B_{t0}.  Both are checked on ints: with L = lcm(R_j S_j) and
-    H = Hn / den for an int matrix Hn, the first reads
-    Hn (L B_t R^{-1} S^{-1}) Hn^T = den^2 (L B_{t0} R^{-1} S^{-1}), and
-    det H = det(Hn) / den^n.
+    cluster variable vanishes at the point), one column per pass over
+    the terms of x_{j;t} (``_jacobian_column``).  S is the
+    skew-symmetrizer of R*B_{t0}.  Both are checked on ints: with
+    L = lcm(R_j S_j) and H = Hn / den for an int matrix Hn, the first
+    reads Hn (L B_t R^{-1} S^{-1}) Hn^T = den^2 (L B_{t0} R^{-1} S^{-1}),
+    and det H = det(Hn) / den^n.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1, got %d" % trials)
@@ -517,7 +530,6 @@ def check_cluster_formula(pattern: ClusterPattern, t_path, t0_path=(),
     w = [r * s for r, s in zip(based.pair.degrees, based.rb_symmetrizer())]
     scale = [math.lcm(*w) // wj for wj in w]   # L R^{-1} S^{-1}
 
-    jac = [[seed_t.x[j].partial_derivative(i) for j in range(n)] for i in range(n)]
     target = mat.scale_columns(based.b0.rows, scale)
     moving = mat.scale_columns(seed_t.B.rows, scale)
 
@@ -530,16 +542,14 @@ def check_cluster_formula(pattern: ClusterPattern, t_path, t0_path=(),
         for _attempt in range(64):
             x_point = [_random_fraction(rng) for _ in range(n)]
             p_point = [_random_fraction(rng, positive=True) for _ in range(m)]
-            vals = [v.evaluate(x_point, p_point) for v in seed_t.x]
-            if all(val != 0 for val in vals):
+            cols = [_jacobian_column(v, x_point, p_point) for v in seed_t.x]
+            if all(s for _, s in cols):
                 break
         else:
             failures.append({"reason": "could not find a nonvanishing point"})
             continue
-        H = [[x_point[i] * jac[i][j].evaluate(x_point, p_point) / vals[j]
-              for j in range(n)] for i in range(n)]
-        den = math.lcm(*(h.denominator for row in H for h in row))
-        Hn = [[h.numerator * (den // h.denominator) for h in row] for row in H]
+        den = math.lcm(*(s for _, s in cols))
+        Hn = mat.transpose([[h * (den // s) for h in N] for N, s in cols])
         lhs = mat.mat_mul(mat.mat_mul(Hn, moving), mat.transpose(Hn))
         d = mat.det(Hn) / den ** n
         dets.add(d)

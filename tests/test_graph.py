@@ -15,6 +15,7 @@ from gencluster import (ClusterPattern, InconsistentDegreeTransportError,
                         principal_pattern, verify_initial_cluster_recovery)
 from gencluster.graph import (ExchangeGraph, VerificationReport, VertexRecord,
                               _verify_dedup_transport)
+from gencluster.invariants import d_recurrence_step
 from gencluster.seeds import _mutate_exchange_data, mutate_seed
 
 
@@ -376,6 +377,35 @@ def test_trichotomy_on_complete_e6():
     rep = verify_dvector_trichotomy(graph)
     assert rep.passed, rep.violations[:3]
     assert rep.details == {"variables": 42, "pairs": 1764}
+
+
+def _d_matrices_by_steps(graph, base):
+    """D-matrices against ``base``: ``d_recurrence_step`` folded along
+    the breadth-first tree of the table, each result relabeled by sigma."""
+    degrees = graph.pattern.pair.degrees
+    D = {base: tuple(tuple(-1 if i == j else 0 for j in range(graph.pattern.n))
+                     for i in range(graph.pattern.n))}
+    queue = [base]
+    for u in queue:
+        for k, (w, sigma) in enumerate(graph.succ[u]):
+            if w not in D:
+                cols = d_recurrence_step(D[u], graph.vertices[u].reached.B,
+                                         degrees, k)
+                D[w] = tuple(c for _, c in sorted(zip(sigma, cols)))
+                queue.append(w)
+    return [D[v] for v in range(graph.vertex_count())]
+
+
+def test_shared_weight_d_matrices_from_every_base(gen3_graph):
+    # D4's table has relabelings that are not involutions
+    g2 = explore(ClusterPattern.build(_chain(2), degrees=(3, 1)), depth_limit=12)
+    d4 = explore(ClusterPattern.build(D4), depth_limit=20)
+    for graph in (gen3_graph, g2, d4):
+        assert graph.complete
+        steps = graph_module._d_steps(graph)
+        for base in range(graph.vertex_count()):
+            assert (graph_module._d_matrices_from(graph, base, steps)
+                    == _d_matrices_by_steps(graph, base))
 
 
 def test_trichotomy_needs_complete_graph(gen2):

@@ -11,8 +11,8 @@ from gencluster import (ClusterPattern, DimensionError, ExchangeMatrix,
                         apply_path, check_classic_compat,
                         check_cluster_formula, coefficient_walk,
                         find_skew_symmetrizer, hat_y, mutate_matrix,
-                        mutate_seed)
-from gencluster.seeds import ClusterFormulaReport
+                        mutate_seed, principal_pattern)
+from gencluster.seeds import ClusterFormulaReport, _jacobian_column
 
 
 def random_pattern(rng, n, max_degree=3, gens=("u", "v"), max_entry=2,
@@ -289,6 +289,38 @@ def test_cluster_formula_reports_a_wrong_cluster(gen2_coeff, monkeypatch):
          {"x_point": ["4", "-7/4"], "p_point": ["1/9", "3/5"],
           "det": "19841/45761"}],
         (Fraction(623, 4997), Fraction(19841, 45761), Fraction(1079, 1023)))
+
+
+@given(st.integers(0, 10 ** 6))
+def test_jacobian_column_matches_the_derivatives(seed):
+    # principal gen2 and gen3 seeds at points with negative and
+    # fractional coordinates; partial_derivative is the reference
+    rng = random.Random(seed)
+    rows, degrees = rng.choice([([[0, 1], [-1, 0]], (2, 1)),
+                                ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], (2, 1, 1))])
+    pattern = principal_pattern(rows, degrees)
+    n = pattern.n
+    at = pattern.seed_at(tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))))
+    x_point = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+               for _ in range(n)]
+    p_point = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+               for _ in range(pattern.semifield.ngens)]
+    for x in at.x:
+        numerators, s = _jacobian_column(x, x_point, p_point)
+        value = x.evaluate(x_point, p_point)
+        assert (s == 0) == (value == 0)
+        if value:
+            assert [Fraction(h, s) for h in numerators] == [
+                x_point[i] * x.partial_derivative(i).evaluate(x_point, p_point)
+                / value for i in range(n)]
+
+
+def test_jacobian_column_at_a_zero_of_the_variable(a2):
+    # x1 + x2 vanishes at (1, -1): s is 0 there
+    x = a2.initial_seed().x[0] + a2.initial_seed().x[1]
+    assert _jacobian_column(x, [1, -1], [])[1] == 0
+    numerators, s = _jacobian_column(x, [Fraction(1, 2), 3], [])
+    assert [Fraction(h, s) for h in numerators] == [Fraction(1, 7), Fraction(6, 7)]
 
 
 # ---- seed container checks ----
