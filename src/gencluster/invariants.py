@@ -51,15 +51,13 @@ def d_step_apply(cols, k, pos, neg):
 
         d_k' = -d_k + max(sum_{(l, w) in pos} d_l w, sum_{(l, w) in neg} d_l w)
 
-    with the componentwise maximum.  Both sums start as an endless run
-    of zeros, which ``zip`` and ``map`` cut to the length of d_k."""
+    with the componentwise maximum.  Both sums are lazy ``map`` chains
+    that start as an endless run of zeros; d_k cuts them to its length."""
     p = q = repeat(0)
     for l, w in pos:
-        p = (list(map(add, p, cols[l])) if w == 1
-             else [a + x * w for a, x in zip(p, cols[l])])
+        p = map(add, p, cols[l] if w == 1 else map(mul, cols[l], repeat(w)))
     for l, w in neg:
-        q = (list(map(add, q, cols[l])) if w == 1
-             else [a + x * w for a, x in zip(q, cols[l])])
+        q = map(add, q, cols[l] if w == 1 else map(mul, cols[l], repeat(w)))
     return tuple(map(sub, map(max, p, q), cols[k]))
 
 
