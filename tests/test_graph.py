@@ -598,6 +598,25 @@ def test_initial_cluster_recovery(a2_graph, gen2_graph, a3_graph):
         assert rep.details["matching_vertices"] >= 1
 
 
+def test_initial_cluster_recovery_reports_a_wrong_variable(a2_graph):
+    # vertex 5 swaps the initial cluster and replaces x1 by x1*(1 + x2),
+    # whose D column is still -e1; vertex 6 holds x1*x2^-1, whose column
+    # (-1, 1) is no column of -I, so it does not count as matching
+    x1, x2 = a2_graph.vertices[0].reached.x
+    b = a2_graph.vertices[0].reached.B
+    y = a2_graph.vertices[0].reached.y
+    fake = [VertexRecord(5, Seed(b, (x2, x1 * (1 + x2)), y), (), (1, 5)),
+            VertexRecord(6, Seed(b, (x1 / x2, x2), y), (), (6, 1))]
+    graph = dataclasses.replace(a2_graph,
+                                vertices=list(a2_graph.vertices) + fake)
+    assert verify_initial_cluster_recovery(graph).to_json_dict() == {
+        "check": "initial-cluster-recovery", "status": "fail",
+        "complete": True, "checked": 2,
+        "violations": [{"vertex": 5, "position": 1, "expected": "x1",
+                        "got": "x1*x2 + x1"}],
+        "details": {"matching_vertices": 2}}
+
+
 def test_scaled_matrix_stays_skew_on_every_seed(gen2_graph, a3_graph,
                                                 gen3_graph):
     # S is computed once from the initial seed and never recomputed
