@@ -102,9 +102,10 @@ def _walk_table(pattern: ClusterPattern, horizon: int):
     """Walk every tree path through ``explore(pattern, depth_limit=horizon)``.
 
     The state (v, pos) of a path says position i of its seed is position
-    pos[i] at vertex v.  Returns the vertex of each path, the variable id
-    at each (path, position) slot, the set of clusters reached (as sets
-    of ids) and the variables in id order.
+    pos[i] at vertex v.  Returns two lists in ``tree_paths`` order, the
+    vertex of each path and the variable id at each of its n positions,
+    then the set of clusters reached (as sets of ids) and the variables
+    in id order.
     """
     graph = explore(pattern, depth_limit=horizon)
 
@@ -113,23 +114,19 @@ def _walk_table(pattern: ClusterPattern, horizon: int):
         w, sigma = graph.succ[v][pos[k]]
         return w, tuple(sigma[i] for i in pos)
 
-    vertex, var = {}, {}
+    vertex, var = [], []
     root = (0, tuple(range(pattern.n)))
-    for p, (v, pos) in _fold_tree(pattern.n, horizon, root, step):
-        vertex[p] = v
-        ids = graph.vertices[v].ids
-        for i, j in enumerate(pos):
-            var[p, i] = ids[j]
-    clusters = {frozenset(graph.vertices[v].ids) for v in vertex.values()}
+    for _, (v, pos) in _fold_tree(pattern.n, horizon, root, step):
+        vertex.append(v)
+        var.extend(map(graph.vertices[v].ids.__getitem__, pos))
+    clusters = {frozenset(graph.vertices[v].ids) for v in vertex}
     return vertex, var, clusters, list(graph.var_ids)
 
 
-def _partition(assignment):
-    """Group keys by value; return the set of frozensets of keys."""
-    groups = {}
-    for key, value in assignment.items():
-        groups.setdefault(value, set()).add(key)
-    return {frozenset(g) for g in groups.values()}
+def _same_partition(left, right):
+    """True when two aligned lists group their positions alike:
+    left[i] == left[j] exactly when right[i] == right[j]."""
+    return len(set(zip(left, right))) == len(set(left)) == len(set(right))
 
 
 def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport:
@@ -145,14 +142,13 @@ def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport
                                                                 horizon)
 
     violations = []
-    if _partition(left_key) != _partition(right_key):
+    if not _same_partition(left_key, right_key):
         violations.append({"kind": "vertex-partition-mismatch"})
-    if _partition(left_var) != _partition(right_var):
+    if not _same_partition(left_var, right_var):
         violations.append({"kind": "variable-partition-mismatch"})
 
     alpha = {}
-    for slot, lv in left_var.items():
-        rv = right_var[slot]
+    for lv, rv in zip(left_var, right_var):
         if alpha.setdefault(lv, rv) != rv:
             violations.append({"kind": "map-not-well-defined",
                                "variable": str(left_x[lv]),
@@ -161,10 +157,8 @@ def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport
     if len(set(alpha.values())) != len(alpha):
         violations.append({"kind": "map-not-injective"})
 
-    mapped = set()
     if not any(v["kind"] == "map-not-well-defined" for v in violations):
-        mapped = {frozenset(alpha[s] for s in c) for c in left_clusters}
-        if mapped != right_clusters:
+        if {frozenset(alpha[a] for a in c) for c in left_clusters} != right_clusters:
             violations.append({"kind": "cluster-sets-differ"})
     if len(left_clusters) != len(right_clusters):
         violations.append({"kind": "cluster-count-mismatch",
@@ -174,6 +168,6 @@ def verify_identification(pair: AlgebraPair, horizon: int) -> VerificationReport
     return VerificationReport(
         "identification", not violations, False, len(left_key), violations,
         {"paths": len(left_key),
-         "vertices": len(_partition(left_key)),
+         "vertices": len(set(left_key)),
          "variables": len(alpha),
          "clusters": len(left_clusters)})

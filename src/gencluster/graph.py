@@ -328,11 +328,12 @@ class VerificationReport:
 
 
 class _Membership:
-    """The variables of a graph by interned id: the ids at each vertex
-    (``var_at``), the vertices holding each id as an int bitset
-    (``holders``), the undirected adjacency of the transition table and
-    the compatibility graph: bit b of the int ``nbr[a]`` is set when the
-    distinct variables a and b share a cluster."""
+    """The variables of a graph by interned id, as int bitsets: the ids
+    at each vertex (``var_at``), the vertices holding each id
+    (``holders``), the undirected adjacency of the transition table
+    (bit w of ``adj[v]`` is set when a slot joins v and w) and the
+    compatibility graph (bit b of ``nbr[a]`` is set when the distinct
+    variables a and b share a cluster)."""
 
     def __init__(self, graph: ExchangeGraph):
         self.nv = graph.vertex_count()
@@ -343,32 +344,34 @@ class _Membership:
             for a in row:
                 self.holders[a] |= 1 << v
                 self.nbr[a] |= sum(1 << b for b in row if b != a)
-        self.adj = [set() for _ in range(self.nv)]
+        self.adj = [0] * self.nv
         for v, row in enumerate(graph.succ):
             for w, _ in filter(None, row):
-                self.adj[v].add(w)
-                self.adj[w].add(v)
+                self.adj[v] |= 1 << w
+                self.adj[w] |= 1 << v
 
-    def hits(self, want):
-        """Sorted indices of the vertices whose clusters hold every id
-        in ``want``."""
+    def held(self, want):
+        """The vertices whose clusters hold every id in ``want``: the AND
+        of their ``holders``."""
         held = (1 << self.nv) - 1
         for a in want:
             held &= self.holders[a]
-        return [v for v in range(self.nv) if held >> v & 1]
+        return held
 
-    def connected_report(self, want, names):
-        hits = self.hits(want)
-        hitset, seen, stack = set(hits), set(hits[:1]), hits[:1]
-        while stack:
-            for w in self.adj[stack.pop()] & hitset - seen:
-                seen.add(w)
-                stack.append(w)
-        connected = len(seen) == len(hits)
-        subset = sorted(names[a] for a in want)
-        violations = [] if connected else [{"subset": subset,
-                                            "vertices": hits}]
-        return connected, violations, {"subset": subset, "vertices": hits}
+    def connected(self, held):
+        """True when the vertex bitset ``held`` induces a connected
+        subgraph: a flood from its lowest vertex that never leaves it."""
+        seen = todo = held & -held
+        while todo:
+            low = todo & -todo
+            new = self.adj[low.bit_length() - 1] & held & ~seen
+            seen |= new
+            todo = todo ^ low | new
+        return seen == held
+
+    def vertices(self, held):
+        """The indices of the vertex bitset ``held``, in increasing order."""
+        return [v for v in range(self.nv) if held >> v & 1]
 
 
 def _ids_named(names, J):
@@ -384,10 +387,14 @@ def verify_connected_subgraph(graph: ExchangeGraph, J) -> VerificationReport:
     """The vertices whose clusters contain every member of J must induce
     a connected subgraph (members named by their renderings)."""
     names = list(map(str, graph.var_ids))
-    connected, violations, details = _Membership(graph).connected_report(
-        _ids_named(names, J), names)
+    want = _ids_named(names, J)
+    index = _Membership(graph)
+    held = index.held(want)
+    connected = index.connected(held)
+    face = {"subset": sorted(names[a] for a in want),
+            "vertices": index.vertices(held)}
     return VerificationReport("connected-subgraph", connected, graph.complete,
-                              1, violations, details)
+                              1, [] if connected else [face], face)
 
 
 def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
@@ -398,8 +405,12 @@ def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
                for r in range(graph.pattern.n + 1)
                for sub in combinations(row, r)}
     violations = []
-    for J in sorted(subsets, key=lambda s: (len(s), sorted(names[a] for a in s))):
-        violations.extend(index.connected_report(J, names)[1])
+    for J in subsets:
+        held = index.held(J)
+        if not index.connected(held):
+            violations.append({"subset": sorted(names[a] for a in J),
+                               "vertices": index.vertices(held)})
+    violations.sort(key=lambda face: (len(face["subset"]), face["subset"]))
     return VerificationReport("connected-subgraph", not violations,
                               graph.complete, len(subsets), violations,
                               {"subsets_checked": len(subsets)})
@@ -408,7 +419,7 @@ def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
 def compatibility(graph: ExchangeGraph, a, b) -> bool:
     """True when the two variables occur together in some cluster."""
     names = list(map(str, graph.var_ids))
-    return bool(_Membership(graph).hits(_ids_named(names, [a, b])))
+    return bool(_Membership(graph).held(_ids_named(names, [a, b])))
 
 
 def _d_steps(graph: ExchangeGraph):
@@ -466,23 +477,22 @@ def verify_dvector_trichotomy(graph: ExchangeGraph) -> VerificationReport:
     violations = []
     for w in range(nv):
         D_from_w = _d_matrices_from(graph, w, steps)
+        base = var_at[w]
         filed = {}   # id -> its table entries against w's cluster
         for v in range(nv):
             D = D_from_w[v]
             if w == 0 and D != d_matrix_from_laurent(graph.vertices[v].reached):
                 violations.append({"kind": "recurrence-vs-laurent", "vertex": v})
             for a, col in zip(var_at[v], D):
-                if filed.get(a) == col:
-                    continue
-                for b, d in zip(var_at[w], col):
-                    first = table.setdefault((a, b), d)
-                    if first != d:
-                        violations.append({"kind": "not-well-defined",
-                                           "pair": (a, b),
-                                           "values": [first, d],
-                                           "base_vertex": w,
-                                           "vertex": v})
-                filed[a] = tuple(table[a, b] for b in var_at[w])
+                want = filed.get(a)
+                if want is None:
+                    want = filed[a] = tuple(table.setdefault((a, b), d)
+                                            for b, d in zip(base, col))
+                if want != col:
+                    violations.extend(
+                        {"kind": "not-well-defined", "pair": (a, b),
+                         "values": [first, d], "base_vertex": w, "vertex": v}
+                        for b, first, d in zip(base, want, col) if first != d)
     for (a, b), d in sorted(table.items()):
         compatible = a == b or bool(index.nbr[a] >> b & 1)
         ok = d == -1 if a == b else d == 0 if compatible else d > 0
@@ -548,25 +558,19 @@ def verify_initial_cluster_recovery(graph: ExchangeGraph) -> VerificationReport:
     """Whenever a seed's D-matrix is a column permutation of -I, its
     cluster must be the correspondingly permuted initial cluster."""
     init = graph.pattern.initial_seed()
-    n = graph.pattern.n
+    minus_identity = sorted(mat.identity(graph.pattern.n, -1))
     violations = []
     hits = 0
     for rec in graph.vertices:
         D = d_matrix_from_laurent(rec.reached)
-        perm = []
-        for col in D:
-            neg = [i for i, v in enumerate(col) if v == -1]
-            if len(neg) != 1 or any(v != 0 for i, v in enumerate(col) if i != neg[0]):
-                perm = None
-                break
-            perm.append(neg[0])
-        if perm is None or sorted(perm) != list(range(n)):
+        if sorted(D) != minus_identity:
             continue
         hits += 1
-        for i in range(n):
-            if rec.reached.x[i] != init.x[perm[i]]:
+        for i, col in enumerate(D):
+            expected = init.x[col.index(-1)]
+            if rec.reached.x[i] != expected:
                 violations.append({"vertex": rec.index, "position": i,
-                                   "expected": str(init.x[perm[i]]),
+                                   "expected": str(expected),
                                    "got": str(rec.reached.x[i])})
     return VerificationReport(
         "initial-cluster-recovery", not violations, graph.complete,

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gencluster import (AlgebraPair, ClusterPattern,
                         IncompatibleInitialDataError, TropicalSemifield,
                         make_pair, transport, tree_paths, verify_d_equality,
                         verify_identification)
+from gencluster.correspondence import _same_partition
 from gencluster.invariants import d_recurrence_step
 
 
@@ -107,3 +110,23 @@ def test_identification_detects_unrelated_patterns(a2):
     assert not rep.passed
     kinds = {v["kind"] for v in rep.violations}
     assert "vertex-partition-mismatch" in kinds or "cluster-count-mismatch" in kinds
+
+
+def _partition(assignment):
+    """Group keys by value; return the set of frozensets of keys."""
+    groups = {}
+    for key, value in assignment.items():
+        groups.setdefault(value, set()).add(key)
+    return {frozenset(g) for g in groups.values()}
+
+
+# the right list relabels the left one, then may change one entry
+@given(st.lists(st.integers(0, 3), max_size=10),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4),
+       st.none() | st.tuples(st.integers(0, 9), st.integers(0, 4)))
+def test_same_partition_matches_the_partitions(left, relabel, change):
+    right = [relabel[a] for a in left]
+    if change is not None and change[0] < len(right):
+        right[change[0]] = change[1]
+    assert _same_partition(left, right) == (
+        _partition(dict(enumerate(left))) == _partition(dict(enumerate(right))))

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gencluster.graph as graph_module
 from gencluster import (ClusterPattern, InconsistentDegreeTransportError,
@@ -370,13 +372,32 @@ def test_trichotomy(a2_graph, gen2_graph, a3_graph, gen3_graph):
         assert rep.details["pairs"] == nvars * nvars
 
 
-@pytest.mark.slow
-def test_trichotomy_on_complete_e6():
+@pytest.fixture(scope="module")
+def e6_graph():
     graph = explore(ClusterPattern.build(_branched_chain(6)), vertex_limit=1000)
     assert graph.complete and graph.vertex_count() == 833
-    rep = verify_dvector_trichotomy(graph)
+    return graph
+
+
+@pytest.mark.slow
+def test_trichotomy_on_complete_e6(e6_graph):
+    rep = verify_dvector_trichotomy(e6_graph)
     assert rep.passed, rep.violations[:3]
     assert rep.details == {"variables": 42, "pairs": 1764}
+
+
+@pytest.mark.slow
+def test_connected_subgraphs_on_complete_e6(e6_graph):
+    rep = verify_all_connected_subgraphs(e6_graph)
+    assert rep.passed and rep.checked == 8177
+
+
+@pytest.mark.slow
+def test_connected_subgraphs_on_complete_e7():
+    graph = explore(ClusterPattern.build(_branched_chain(7)), vertex_limit=10000)
+    assert graph.complete and graph.vertex_count() == 4160
+    rep = verify_all_connected_subgraphs(graph)
+    assert rep.passed and rep.checked == 59223
 
 
 def _d_matrices_by_steps(graph, base):
@@ -542,6 +563,67 @@ def test_connected_subgraph_reports_a_disconnected_subset(a2):
         {"subset": ["c"], "vertices": [1, 4]},
         {"subset": ["f"], "vertices": [2, 5]},
         {"subset": ["a", "b"], "vertices": [0, 3]}]
+
+
+def _connectivity_scan(graph):
+    """The connectivity checks as a scan of every vertex for each face
+    and a depth-first search over adjacency sets.  Returns the report of
+    ``verify_connected_subgraph`` on each face, keyed by its sorted
+    names, and the report of ``verify_all_connected_subgraphs``."""
+    names = list(map(str, graph.var_ids))
+    var_at = [set(rec.ids) for rec in graph.vertices]
+    adj = [set() for _ in var_at]
+    for v, row in enumerate(graph.succ):
+        for w, _ in filter(None, row):
+            adj[v].add(w)
+            adj[w].add(v)
+    faces = {frozenset(sub) for row in var_at for r in range(len(row) + 1)
+             for sub in itertools.combinations(row, r)}
+    single, violations = {}, []
+    for J in sorted(faces, key=lambda s: (len(s), sorted(names[a] for a in s))):
+        hits = [v for v, row in enumerate(var_at) if J <= row]
+        seen, stack = set(hits[:1]), hits[:1]
+        while stack:
+            for w in adj[stack.pop()] & set(hits) - seen:
+                seen.add(w)
+                stack.append(w)
+        connected = len(seen) == len(hits)
+        face = {"subset": sorted(names[a] for a in J), "vertices": hits}
+        if not connected:
+            violations.append(face)
+        single[tuple(face["subset"])] = VerificationReport(
+            "connected-subgraph", connected, graph.complete, 1,
+            [] if connected else [face], face).to_json_dict()
+    return single, VerificationReport(
+        "connected-subgraph", not violations, graph.complete, len(faces),
+        violations, {"subsets_checked": len(faces)}).to_json_dict()
+
+
+def _assert_connectivity_matches_scan(graph):
+    single, whole = _connectivity_scan(graph)
+    assert verify_all_connected_subgraphs(graph).to_json_dict() == whole
+    for subset, want in single.items():
+        assert verify_connected_subgraph(graph, subset).to_json_dict() == want
+
+
+def test_connectivity_matches_a_scan(a2_graph, gen2_graph, a3_graph,
+                                     gen3_graph):
+    g2 = explore(ClusterPattern.build(_chain(2), degrees=(3, 1)), depth_limit=12)
+    d4 = explore(ClusterPattern.build(D4), depth_limit=20)
+    for graph in (a2_graph, gen2_graph, a3_graph, gen3_graph, g2, d4):
+        assert graph.complete
+        _assert_connectivity_matches_scan(graph)
+
+
+# in the hexagon, vertices 0 and 3 are joined only through vertices
+# that hold neither a nor b
+@given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=2, max_size=2,
+                         unique=True), min_size=1, max_size=9))
+@example((("b", "a"), ("c", "d"), ("e", "f"), ("a", "b"), ("c", "e"),
+          ("d", "f")))
+def test_connectivity_matches_a_scan_on_drawn_tables(clusters):
+    a2 = ClusterPattern.build(_chain(2))
+    _assert_connectivity_matches_scan(_fabricated(a2, clusters))
 
 
 def test_compatible_sets_match_subset_scan(a2, a2_graph, gen2_graph,
