@@ -40,6 +40,9 @@ PRIN_GEN2 = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1], "principal": True}
 # type D5: 25 variables, past what a scan of every subset can reach
 D5 = {"b": [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 1],
             [0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]}
+# infinite types, explored only to a vertex cap
+AFFINE = {"b": [[0, 2], [-2, 0]]}
+MARKOV = {"b": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
 PAIR2 = {"left": {"b": [[0, 1], [-1, 0]], "degrees": [2, 1]},
          "right": {"b": [[0, 1], [-2, 0]]}}
 
@@ -59,6 +62,8 @@ CASES = {
     "explore_gen2.dot": (GEN2, ["explore", "--depth", "12", "--format",
                                 "dot", "--dmatrix"]),
     "explore_gen2_coeff.json": (GEN2_COEFF, ["explore", "--depth", "12"]),
+    "explore_affine_cap12.json": (AFFINE, ["explore", "--max-vertices", "12"]),
+    "explore_markov_cap20.json": (MARKOV, ["explore", "--max-vertices", "20"]),
     "verify_a3_connected.json": (A3, ["verify", "connected-subgraph",
                                       "--depth", "12"]),
     "verify_a3_subset.json": (A3, ["verify", "connected-subgraph",
