@@ -27,11 +27,16 @@ by sigma (position i of the mutated seed is position sigma[i] at w), and
 breadth-first walk (FIFO queue, ascending directions) with optional
 depth and vertex limits.  A limit leaves slots empty: the graph is
 complete exactly when every slot is filled, and its frontier is the
-vertices with an empty slot.  A slot left empty at the vertex limit
-keeps the seed its mutation gave (``pending``).  Resuming refills
-exactly the empty slots, in the order an uninterrupted walk would have
-filled them and from the kept seeds where there are any, so a resumed
-graph equals the one explored in one go under the final limits.
+vertices with an empty slot.  Every interned variable has a value mod
+2^61 - 1 under one fixed ring map (``residues``).  At the vertex limit a
+slot is first valued by the exchange relation: equal polynomials have
+equal values, so a value no interned variable has proves the slot new,
+and it stays empty unmutated (a NotLaurentError there surfaces on
+resuming).  Other slots left empty there keep their mutated seeds
+(``pending``).  Resuming refills exactly the empty slots, in the order
+an uninterrupted walk would have filled them and from the kept seeds
+where there are any, so a resumed graph equals the one explored in one
+go under the final limits.
 
 Each vertex stored by an ``explore`` call remembers, for that call only,
 the vertex and direction k it came from.  Its slot k is the back edge,
@@ -55,7 +60,15 @@ from . import matrices as mat
 from .errors import InconsistentDegreeTransportError, UnknownVariableError
 from .invariants import d_matrix_from_laurent, d_step_apply, d_step_weights
 from .seeds import (ClusterPattern, MutationPair, Seed, _mutate_exchange_data,
-                    mutate_seed)
+                    _mutate_residue, mutate_seed)
+
+_PRIME = (1 << 61) - 1
+
+
+def _residue_point(count):
+    """Fixed nonzero values mod _PRIME of x_1..x_n, then the generators,
+    with no low-degree relation that would make values match by chance."""
+    return [pow(7, 1000003 ** i, _PRIME) for i in range(1, count + 1)]
 
 
 def canonical_form(seed: Seed, pair: MutationPair) -> str:
@@ -104,6 +117,7 @@ class ExchangeGraph:
     succ: list = field(default_factory=list)   # succ[v][k] = (w, sigma) or None
     var_ids: dict = field(default_factory=dict)   # variable -> id, in id order
     pending: dict = field(default_factory=dict)   # (v, k) -> seed kept at the cap
+    residues: list = field(default_factory=list)   # id -> value mod _PRIME
 
     @property
     def frontier(self):
@@ -193,6 +207,14 @@ def _verify_dedup_transport(stored: VertexRecord, new_seed: Seed, new_ids,
     return sigma
 
 
+def _dedup_key(seed: Seed, ids):
+    perm = sorted(range(seed.n), key=ids.__getitem__)
+    rows, y = seed.B.rows, seed.y
+    return (*(ids[i] for i in perm),
+            *(rows[i][j] for i in perm for j in perm),
+            *(e for i in perm for e in y[i].exponents))
+
+
 def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
             resume: ExchangeGraph = None) -> ExchangeGraph:
     """Deterministic BFS over seeds up to equivalence.
@@ -206,20 +228,11 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
     if (depth_limit is not None and depth_limit < 0
             or vertex_limit is not None and vertex_limit < 1):
         raise ValueError("need depth_limit >= 0 and vertex_limit >= 1")
-    pair = pattern.pair
-    n = pattern.n
+    pair, n = pattern.pair, pattern.n
     identity = tuple(range(n))
-
-    def dedup_key(seed, ids):
-        # one flat tuple of fixed-length blocks
-        perm = sorted(identity, key=ids.__getitem__)
-        rows, y = seed.B.rows, seed.y
-        return (*(ids[i] for i in perm),
-                *(rows[i][j] for i in perm for j in perm),
-                *(e for i in perm for e in y[i].exponents))
-
+    point = _residue_point(n + pattern.semifield.ngens)
     g = ExchangeGraph(pattern)
-    var_ids = g.var_ids
+    var_ids, residues = g.var_ids, g.residues
     parent = {}   # vertex stored in this call -> (vertex, direction) it came from
 
     def store(seed, ids, path, key):
@@ -238,14 +251,19 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
         g.succ = [list(row) for row in resume.succ]
         var_ids.update(resume.var_ids)
         g.pending = dict(resume.pending)
+        residues.extend(resume.residues)
         queue = deque(resume.frontier)
     else:
         queue = deque()
         init = pattern.initial_seed()
-        for v in init.x:
-            var_ids[v] = len(var_ids)
-        store(init, identity, (), dedup_key(init, identity))
+        var_ids.update(zip(init.x, identity))
+        residues.extend(point[:n])
+        store(init, identity, (), _dedup_key(init, identity))
     var_objs = list(var_ids)   # id -> the one object stored for it
+
+    def residue(rec, k):
+        return _mutate_residue(rec.reached, pair, k,
+                               [residues[a] for a in rec.ids], point[n:], _PRIME)
 
     while queue:
         vi = queue.popleft()
@@ -257,6 +275,7 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
         for k in range(n):
             if row[k] is not None:
                 continue
+            full = vertex_limit is not None and len(g.vertices) >= vertex_limit
             new_seed = g.pending.pop((vi, k), None)
             if new_seed is None and k == back:
                 # mu_k is an involution: x_k' is the parent's own x_k
@@ -265,6 +284,10 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
                 new_seed = Seed(b_new, xs[:k] + (g.vertices[up].reached.x[k],)
                                 + xs[k + 1:], y_new)
             elif new_seed is None:
+                if full and residue(rec, k) not in (None, *residues):
+                    # x_k' is no interned variable (None, a zero x_k,
+                    # proves nothing), so no stored seed holds it
+                    continue
                 new_seed = mutate_seed(rec.reached, pair, k)
             x_new = new_seed.x[k]
             vid = var_ids.get(x_new)
@@ -274,10 +297,10 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
                     raise RuntimeError(
                         "cluster variables of a single seed must be distinct")
                 ids = rec.ids[:k] + (vid,) + rec.ids[k + 1:]
-                key = dedup_key(new_seed, ids)
+                key = _dedup_key(new_seed, ids)
                 j = g.key_to_index.get(key)
             if j is None:
-                if vertex_limit is not None and len(g.vertices) >= vertex_limit:
+                if full:
                     g.pending[vi, k] = new_seed
                     continue
                 if vid is None:
@@ -285,7 +308,12 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
                     ids = rec.ids[:k] + (len(var_ids),) + rec.ids[k + 1:]
                     var_ids[x_new] = len(var_ids)
                     var_objs.append(x_new)
-                    key = dedup_key(new_seed, ids)
+                    key = _dedup_key(new_seed, ids)
+                    res = residue(rec, k)
+                    if res is None:   # read x_new's own value instead
+                        v = x_new.evaluate(point[:n], point[n:])
+                        res = v.numerator * pow(v.denominator, -1, _PRIME) % _PRIME
+                    residues.append(res)
                 else:
                     # keep the one object interned for x_new
                     xs = new_seed.x

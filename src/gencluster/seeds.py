@@ -378,6 +378,23 @@ def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
     return Seed(b_new, tuple(xs), y_new)
 
 
+def _mutate_residue(seed: Seed, pair: MutationPair, k: int, xs, us, p):
+    """The x_k' of ``mutate_seed`` mod the prime p where seed.x is xs and
+    the generators are the nonzero us: term s of the exchange relation is
+    c_s U^s V^(r_k - s) u^-trop.  None when xs[k] is 0 (x_k' is open)."""
+    if not xs[k]:
+        return None
+    col, yk, rk = seed.B.column(k), seed.y[k].exponents, pair.degrees[k]
+    _, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
+    up = math.prod(pow(x, b, p) for x, b in zip(xs, col) if b > 0)
+    down = math.prod(pow(x, -b, p) for x, b in zip(xs, col) if b < 0)
+    numerator = sum(math.prod(pow(u, ce + s * e - t, p) for u, ce, e, t
+                              in zip(us, c.exponents, yk, trop))
+                    * pow(up, s, p) * pow(down, rk - s, p)
+                    for s, c in enumerate(pair.poly_coeffs(k)))
+    return numerator * pow(xs[k], -1, p) % p
+
+
 def apply_path(seed: Seed, pair: MutationPair, path) -> Seed:
     """Fold mutate_seed along a tuple of directions (0-based)."""
     current = seed

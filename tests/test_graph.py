@@ -15,7 +15,8 @@ from gencluster import (ClusterPattern, InconsistentDegreeTransportError,
                         verify_compatible_sets, verify_connected_subgraph,
                         verify_dvector_trichotomy,
                         principal_pattern, verify_initial_cluster_recovery)
-from gencluster.graph import (ExchangeGraph, VerificationReport, VertexRecord,
+from gencluster.graph import (_PRIME, ExchangeGraph, VerificationReport,
+                              VertexRecord, _dedup_key, _residue_point,
                               _verify_dedup_transport)
 from gencluster.invariants import d_recurrence_step
 from gencluster.seeds import _mutate_exchange_data, mutate_seed
@@ -140,9 +141,10 @@ def _chain(n):
 
 
 def test_resume_after_vertex_cap_mutates_each_slot_once(monkeypatch):
-    # the seeds of slots skipped at the cap are kept, so no (vertex,
-    # direction) slot is mutated twice across the capped walk and the
-    # resume
+    # at the cap a slot is mutated only when its residue matches an
+    # interned variable, and then its seed is kept; a slot proven new is
+    # not mutated until the resume, so no (vertex, direction) slot is
+    # mutated twice across the capped walk and the resume
     a4 = ClusterPattern.build(_chain(4))
     full = explore(a4, vertex_limit=1000)
     calls = []
@@ -199,9 +201,8 @@ def test_every_slot_matches_a_fresh_mutation(gen3):
                         assert fresh.B.rows[i][j] == at.B.rows[sigma[i]][sigma[j]]
 
 
-def test_explore_mutates_once_per_tree_edge_and_new_slot(monkeypatch, gen3):
-    # each stored vertex but the first fills its back edge without
-    # mutating: a complete one-shot walk makes n*V - (V - 1) mutations
+def _count_mutations(monkeypatch):
+    """The directions of every ``mutate_seed`` call that explore makes."""
     calls = []
 
     def counting(seed, pair, k):
@@ -209,6 +210,13 @@ def test_explore_mutates_once_per_tree_edge_and_new_slot(monkeypatch, gen3):
         return mutate_seed(seed, pair, k)
 
     monkeypatch.setattr(graph_module, "mutate_seed", counting)
+    return calls
+
+
+def test_explore_mutates_once_per_tree_edge_and_new_slot(monkeypatch, gen3):
+    # each stored vertex but the first fills its back edge without
+    # mutating: a complete one-shot walk makes n*V - (V - 1) mutations
+    calls = _count_mutations(monkeypatch)
     counts = []
     for pattern, limits, complete in _table_cases(gen3):
         calls.clear()
@@ -218,7 +226,105 @@ def test_explore_mutates_once_per_tree_edge_and_new_slot(monkeypatch, gen3):
         if complete:
             assert len(calls) == pattern.n * nv - (nv - 1)
     assert counts[0] == 127     # complete A4, 42 vertices
-    assert counts[-1] == 27     # the affine type capped at 26 vertices
+    assert counts[-1] == 25     # the affine type capped at 26 vertices
+
+
+MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+
+
+def test_capped_explore_mutates_no_slot_proven_new(monkeypatch):
+    # at the cap a slot whose residue no interned variable has is left
+    # empty unmutated; on the Markov quiver every variable is new, so only
+    # the V - 1 tree edges are mutated
+    calls = _count_mutations(monkeypatch)
+    explore(ClusterPattern.build(_chain(4)), vertex_limit=10)
+    assert len(calls) == 22
+    calls.clear()
+    graph = explore(ClusterPattern.build(MARKOV), vertex_limit=30)
+    assert len(calls) == 29 == graph.vertex_count() - 1
+    assert not graph.pending
+
+
+def test_a_zero_residue_takes_the_full_mutation(monkeypatch):
+    # a residue the exchange relation leaves open (x_k is 0 mod the
+    # prime) proves nothing: every capped slot is mutated, as it was
+    # before residues, and new variables read their own values
+    calls = _count_mutations(monkeypatch)
+    monkeypatch.setattr(graph_module, "_mutate_residue", lambda *args: None)
+    counts = []
+    for rows, cap in ((_chain(4), 10), (MARKOV, 30), ([[0, 2], [-2, 0]], 26)):
+        calls.clear()
+        graph = explore(ClusterPattern.build(rows), vertex_limit=cap)
+        counts.append(len(calls))
+        _assert_residues_match_terms(graph)
+    assert counts == [31, 61, 27]
+
+
+def _residue_of(var, point):
+    """The value mod _PRIME of a variable's own terms at ``point``."""
+    total = 0
+    for exps, c in var.terms():
+        for a, e in zip(point, exps):
+            c = c * pow(a, e, _PRIME) % _PRIME
+        total += c
+    return total % _PRIME
+
+
+def _assert_residues_match_terms(graph):
+    point = _residue_point(graph.pattern.n + graph.pattern.semifield.ngens)
+    assert len(graph.residues) == len(graph.var_ids)
+    for var, a in graph.var_ids.items():
+        assert graph.residues[a] == _residue_of(var, point)
+
+
+def test_every_residue_is_its_variables_value(gen3):
+    for pattern, limits, _ in _table_cases(gen3):
+        _assert_residues_match_terms(explore(pattern, **limits))
+    _assert_residues_match_terms(explore(ClusterPattern.build(MARKOV),
+                                         vertex_limit=30))
+
+
+def _assert_empty_slots_are_new(graph):
+    """A fresh mutation at every empty slot gives a seed that no stored
+    vertex holds, and a kept seed is that mutation."""
+    pair = graph.pattern.pair
+    for v, row in enumerate(graph.succ):
+        rec = graph.vertices[v]
+        for k in (k for k, slot in enumerate(row) if slot is None):
+            fresh = mutate_seed(rec.reached, pair, k)
+            vid = graph.var_ids.get(fresh.x[k])
+            if vid is not None:
+                ids = rec.ids[:k] + (vid,) + rec.ids[k + 1:]
+                assert _dedup_key(fresh, ids) not in graph.key_to_index
+            kept = graph.pending.get((v, k))
+            assert kept is None or kept == fresh
+
+
+def test_every_slot_left_empty_at_a_cap_is_new():
+    a4 = ClusterPattern.build(_chain(4))
+    for cap in range(1, 42):
+        graph = explore(a4, vertex_limit=cap)
+        assert graph.vertex_count() == cap and not graph.complete
+        _assert_empty_slots_are_new(graph)
+    for rows, cap in (([[0, 2], [-2, 0]], 26), (MARKOV, 30)):
+        _assert_empty_slots_are_new(explore(ClusterPattern.build(rows),
+                                            vertex_limit=cap))
+
+
+def test_resume_from_every_cap_matches_one_shot():
+    a4 = ClusterPattern.build(_chain(4))
+    full = explore(a4, vertex_limit=1000)
+    want = [rec.ids for rec in full.vertices]
+    for cap in range(1, 42):
+        resumed = explore(a4, vertex_limit=1000,
+                          resume=explore(a4, vertex_limit=cap))
+        assert resumed.succ == full.succ
+        assert resumed.key_to_index == full.key_to_index
+        assert [rec.ids for rec in resumed.vertices] == want
+        assert [rec.path for rec in resumed.vertices] == [
+            rec.path for rec in full.vertices]
+        assert resumed.residues == full.residues
+        assert not resumed.pending
 
 
 def test_explore_renders_each_new_variable_once(monkeypatch):
