@@ -275,7 +275,7 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
         for k in range(n):
             if row[k] is not None:
                 continue
-            full = vertex_limit is not None and len(g.vertices) >= vertex_limit
+            capped = vertex_limit is not None and len(g.vertices) >= vertex_limit
             new_seed = g.pending.pop((vi, k), None)
             if new_seed is None and k == back:
                 # mu_k is an involution: x_k' is the parent's own x_k
@@ -284,7 +284,7 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
                 new_seed = Seed(b_new, xs[:k] + (g.vertices[up].reached.x[k],)
                                 + xs[k + 1:], y_new)
             elif new_seed is None:
-                if full and residue(rec, k) not in (None, *residues):
+                if capped and residue(rec, k) not in (None, *residues):
                     # x_k' is no interned variable (None, a zero x_k,
                     # proves nothing), so no stored seed holds it
                     continue
@@ -300,7 +300,7 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
                 key = _dedup_key(new_seed, ids)
                 j = g.key_to_index.get(key)
             if j is None:
-                if full:
+                if capped:
                     g.pending[vi, k] = new_seed
                     continue
                 if vid is None:
