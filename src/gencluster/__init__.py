@@ -20,7 +20,7 @@ from .errors import (ConfigError, DimensionError, EvaluationError,
                      NotLaurentError, NotSkewSymmetrizableError,
                      UnknownVariableError)
 from .semifield import GroupRingElement, SemifieldElement, TropicalSemifield
-from .laurent import LaurentPolynomial, denominator_vector, exact_div
+from .laurent import LaurentPolynomial
 from .seeds import (DEFAULT_RNG_SEED, ClusterFormulaReport, ClusterPattern,
                     ExchangeMatrix, MutationPair, Seed, apply_path,
                     check_classic_compat, check_cluster_formula,
@@ -36,7 +36,7 @@ from .graph import (ExchangeGraph, VerificationReport, VertexRecord,
                     verify_all_connected_subgraphs, verify_compatible_sets,
                     verify_connected_subgraph, verify_dvector_trichotomy,
                     verify_initial_cluster_recovery)
-from .correspondence import (AlgebraPair, make_pair, transport, tree_paths,
+from .correspondence import (AlgebraPair, make_pair, tree_paths,
                              verify_d_equality, verify_identification)
 from .config import (pair_from_config, parse_path, pattern_from_config,
                      pattern_to_config, seed_dump)
@@ -44,9 +44,9 @@ from .config import (pair_from_config, parse_path, pattern_from_config,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraPair", "ClusterFormulaReport", "ClusterPattern",
-    "ConfigError", "DEFAULT_RNG_SEED", "DimensionError", "EvaluationError",
-    "ExchangeGraph", "ExchangeMatrix", "GenClusterError", "GroupRingElement",
+    "AlgebraPair", "ClusterFormulaReport", "ClusterPattern", "ConfigError",
+    "DEFAULT_RNG_SEED", "DimensionError", "EvaluationError", "ExchangeGraph",
+    "ExchangeMatrix", "GenClusterError", "GroupRingElement",
     "IncompatibleInitialDataError", "InconsistentDegreeTransportError",
     "LaurentPolynomial", "MutationPair", "NegativeCoefficientExponentError",
     "NonMonomialCoefficientError", "NotHomogeneousError", "NotLaurentError",
@@ -55,13 +55,13 @@ __all__ = [
     "VerificationReport", "VertexRecord", "apply_path", "c_matrix",
     "canonical_form", "check_cg_duality", "check_classic_compat",
     "check_cluster_formula", "coefficient_walk", "compatibility",
-    "d_matrix_by_recurrence", "d_matrix_from_laurent", "denominator_vector",
-    "exact_div", "explore", "f_polynomial", "f_polynomials",
-    "find_skew_symmetrizer", "g_matrix", "g_vector", "hat_y", "make_pair",
-    "mutate_matrix", "mutate_seed", "pair_from_config", "parse_path",
-    "pattern_from_config", "pattern_to_config", "principal_companion",
-    "principal_pattern", "seed_dump", "separation_reconstruct", "transport",
-    "tree_paths", "verify_all_connected_subgraphs", "verify_compatible_sets",
+    "d_matrix_by_recurrence", "d_matrix_from_laurent", "explore",
+    "f_polynomial", "f_polynomials", "find_skew_symmetrizer", "g_matrix",
+    "g_vector", "hat_y", "make_pair", "mutate_matrix", "mutate_seed",
+    "pair_from_config", "parse_path", "pattern_from_config",
+    "pattern_to_config", "principal_companion", "principal_pattern",
+    "seed_dump", "separation_reconstruct", "tree_paths",
+    "verify_all_connected_subgraphs", "verify_compatible_sets",
     "verify_connected_subgraph", "verify_d_equality",
     "verify_dvector_trichotomy", "verify_identification",
     "verify_initial_cluster_recovery",

@@ -91,13 +91,6 @@ def verify_d_equality(pair: AlgebraPair, horizon: int) -> VerificationReport:
                               violations, {"paths": len(walked)})
 
 
-def transport(pair: AlgebraPair, path, i: int):
-    """The matched cluster variables at position ``i`` of the seeds both
-    patterns reach along ``path``."""
-    p = tuple(path)
-    return (pair.left.seed_at(p).x[i], pair.right.seed_at(p).x[i])
-
-
 def _walk_table(pattern: ClusterPattern, horizon: int):
     """Walk every tree path through ``explore(pattern, depth_limit=horizon)``.
 

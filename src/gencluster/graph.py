@@ -32,11 +32,9 @@ vertices with an empty slot.  Every interned variable has a value mod
 slot is first valued by the exchange relation: equal polynomials have
 equal values, so a value no interned variable has proves the slot new,
 and it stays empty unmutated (a NotLaurentError there surfaces on
-resuming).  Other slots left empty there keep their mutated seeds
-(``pending``).  Resuming refills exactly the empty slots, in the order
-an uninterrupted walk would have filled them and from the kept seeds
-where there are any, so a resumed graph equals the one explored in one
-go under the final limits.
+resuming).  Resuming refills exactly the empty slots, in the order an
+uninterrupted walk would have filled them, so a resumed graph equals the
+one explored in one go under the final limits.
 
 Each vertex stored by an ``explore`` call remembers, for that call only,
 the vertex and direction k it came from.  Its slot k is the back edge,
@@ -116,7 +114,6 @@ class ExchangeGraph:
     key_to_index: dict = field(default_factory=dict)   # int dedup key -> vertex
     succ: list = field(default_factory=list)   # succ[v][k] = (w, sigma) or None
     var_ids: dict = field(default_factory=dict)   # variable -> id, in id order
-    pending: dict = field(default_factory=dict)   # (v, k) -> seed kept at the cap
     residues: list = field(default_factory=list)   # id -> value mod _PRIME
 
     @property
@@ -250,7 +247,6 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
         g.key_to_index = dict(resume.key_to_index)
         g.succ = [list(row) for row in resume.succ]
         var_ids.update(resume.var_ids)
-        g.pending = dict(resume.pending)
         residues.extend(resume.residues)
         queue = deque(resume.frontier)
     else:
@@ -276,18 +272,17 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
             if row[k] is not None:
                 continue
             capped = vertex_limit is not None and len(g.vertices) >= vertex_limit
-            new_seed = g.pending.pop((vi, k), None)
-            if new_seed is None and k == back:
+            if k == back:
                 # mu_k is an involution: x_k' is the parent's own x_k
                 b_new, y_new, _ = _mutate_exchange_data(rec.reached, pair, k)
                 xs = rec.reached.x
                 new_seed = Seed(b_new, xs[:k] + (g.vertices[up].reached.x[k],)
                                 + xs[k + 1:], y_new)
-            elif new_seed is None:
-                if capped and residue(rec, k) not in (None, *residues):
-                    # x_k' is no interned variable (None, a zero x_k,
-                    # proves nothing), so no stored seed holds it
-                    continue
+            elif capped and residue(rec, k) not in (None, *residues):
+                # x_k' is no interned variable (None, a zero x_k, proves
+                # nothing), so no stored seed holds it
+                continue
+            else:
                 new_seed = mutate_seed(rec.reached, pair, k)
             x_new = new_seed.x[k]
             vid = var_ids.get(x_new)
@@ -301,7 +296,6 @@ def explore(pattern: ClusterPattern, depth_limit=None, vertex_limit=None,
                 j = g.key_to_index.get(key)
             if j is None:
                 if capped:
-                    g.pending[vi, k] = new_seed
                     continue
                 if vid is None:
                     # no stored seed holds x_new, so none equals new_seed
@@ -413,7 +407,10 @@ def _ids_named(names, J):
 
 def verify_connected_subgraph(graph: ExchangeGraph, J) -> VerificationReport:
     """The vertices whose clusters contain every member of J must induce
-    a connected subgraph (members named by their renderings)."""
+    a connected subgraph (members named by their renderings).  Requires a
+    completed exploration: a face cut inside a ball may join outside it."""
+    if not graph.complete:
+        raise ValueError("connected-subgraph check needs a completed exploration")
     names = list(map(str, graph.var_ids))
     want = _ids_named(names, J)
     index = _Membership(graph)
@@ -421,12 +418,14 @@ def verify_connected_subgraph(graph: ExchangeGraph, J) -> VerificationReport:
     connected = index.connected(held)
     face = {"subset": sorted(names[a] for a in want),
             "vertices": index.vertices(held)}
-    return VerificationReport("connected-subgraph", connected, graph.complete,
-                              1, [] if connected else [face], face)
+    return VerificationReport("connected-subgraph", connected, True, 1,
+                              [] if connected else [face], face)
 
 
 def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
     """Run the connectivity check for every subset of every cluster."""
+    if not graph.complete:
+        raise ValueError("connected-subgraph check needs a completed exploration")
     index = _Membership(graph)
     names = list(map(str, graph.var_ids))
     subsets = {frozenset(sub) for row in index.var_at
@@ -439,8 +438,8 @@ def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
             violations.append({"subset": sorted(names[a] for a in J),
                                "vertices": index.vertices(held)})
     violations.sort(key=lambda face: (len(face["subset"]), face["subset"]))
-    return VerificationReport("connected-subgraph", not violations,
-                              graph.complete, len(subsets), violations,
+    return VerificationReport("connected-subgraph", not violations, True,
+                              len(subsets), violations,
                               {"subsets_checked": len(subsets)})
 
 

@@ -174,7 +174,7 @@ def g_vector(principal: PrincipalPattern, seed_var: LaurentPolynomial):
     deg = None
     for exps, _ in seed_var.terms():
         ypart, _ = principal.split_exponents(exps[n:])
-        d = tuple(exps[i] - sum(b0.entry(i, j) * ypart[j] for j in range(n))
+        d = tuple(exps[i] - sum(b0.rows[i][j] * ypart[j] for j in range(n))
                   for i in range(n))
         if deg is None:
             deg = d

@@ -257,17 +257,6 @@ class LaurentPolynomial:
             out._mins = tuple(map(add, self._mins, exps))
         return out
 
-    def scalar_mul(self, c):
-        """Multiply by an int, SemifieldElement or rank-0 element; by
-        the unit it returns self."""
-        if isinstance(c, SemifieldElement):
-            _check_same_semifield(self, c)
-            return self._unit_mul(c.exponents)
-        c = LaurentPolynomial.constant(self.rank, self.semifield, c)
-        if c.is_one():
-            return self
-        return self._times(c)
-
     def _unit_mul(self, uexps):
         """Multiply by the unit u^uexps of ZP: one key addition per flat
         term; returns self for the unit."""
@@ -305,7 +294,8 @@ class LaurentPolynomial:
         ``exact_div_terms``).
         """
         if isinstance(den, SemifieldElement):
-            return self.scalar_mul(den.inverse())
+            _check_same_semifield(self, den)
+            return self._unit_mul(den.inverse().exponents)
         den = self._operand(den) if isinstance(den, LaurentPolynomial) else None
         if den is None:
             raise TypeError("expected a LaurentPolynomial or SemifieldElement")
@@ -474,11 +464,3 @@ class GroupRingElement(LaurentPolynomial):
 
     def _render(self):
         return format_terms(self.semifield.generators, sorted(self.terms()))
-
-
-def exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
-    return num.exact_div(den)
-
-
-def denominator_vector(p: LaurentPolynomial):
-    return p.denominator_vector()

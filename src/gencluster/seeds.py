@@ -128,14 +128,8 @@ class ExchangeMatrix:
         out.rows, out.n, out.symmetrizer = rows, len(rows), symmetrizer
         return out
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def column(self, k):
         return tuple(self.rows[i][k] for i in range(self.n))
-
-    def row(self, k):
-        return self.rows[k]
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -194,10 +188,6 @@ class MutationPair:
                         "direction %d: coefficients are not reciprocal" % k)
             zs.append(z_k)
         self.frozen = tuple(zs)
-
-    @classmethod
-    def classic(cls, semifield: TropicalSemifield, n: int) -> "MutationPair":
-        return cls(semifield, (1,) * n)
 
     @property
     def n(self):
@@ -300,7 +290,7 @@ def _exchange_monomials(seed: Seed, k: int):
     col = seed.B.column(k)
     u = _product([seed.x[i] ** b for i, b in enumerate(col) if b > 0], seed)
     v = _product([seed.x[i] ** -b for i, b in enumerate(col) if b < 0], seed)
-    return u.scalar_mul(seed.y[k]), v
+    return u._unit_mul(seed.y[k].exponents), v
 
 
 def _product(factors, seed: Seed):
@@ -348,7 +338,7 @@ def _mutate_exchange_data(seed: Seed, pair: MutationPair, k: int):
     arithmetic.  ``mutate_seed`` builds x_k' on top of it; exploration
     uses it alone on a back edge, where x_k' is the variable the edge
     came from (mutation is an involution)."""
-    y_new, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
+    y_new, trop = _mutate_coefficients(seed.y, seed.B.rows[k], pair, k)
     return mutate_matrix(seed.B, pair, k), y_new, trop
 
 
@@ -368,7 +358,7 @@ def mutate_seed(seed: Seed, pair: MutationPair, k: int) -> Seed:
         v_pows.append(v_pows[s // 2] * v_pows[s - s // 2])
     numerator = u_pows[rk] + v_pows[rk]          # c_0 = c_r = 1
     for s in range(1, rk):
-        numerator = numerator + (u_pows[s] * v_pows[rk - s]).scalar_mul(coeffs[s])
+        numerator = numerator + (u_pows[s] * v_pows[rk - s])._unit_mul(coeffs[s].exponents)
 
     b_new, y_new, trop = _mutate_exchange_data(seed, pair, k)
     x_new = numerator.exact_div(seed.x[k])._unit_mul(tuple(-t for t in trop))
@@ -385,7 +375,7 @@ def _mutate_residue(seed: Seed, pair: MutationPair, k: int, xs, us, p):
     if not xs[k]:
         return None
     col, yk, rk = seed.B.column(k), seed.y[k].exponents, pair.degrees[k]
-    _, trop = _mutate_coefficients(seed.y, seed.B.row(k), pair, k)
+    _, trop = _mutate_coefficients(seed.y, seed.B.rows[k], pair, k)
     up = math.prod(pow(x, b, p) for x, b in zip(xs, col) if b > 0)
     down = math.prod(pow(x, -b, p) for x, b in zip(xs, col) if b < 0)
     numerator = sum(math.prod(pow(u, ce + s * e - t, p) for u, ce, e, t
@@ -481,7 +471,7 @@ def coefficient_walk(pattern: ClusterPattern, path):
     y = pattern.y0
     pair = pattern.pair
     for k in path:
-        y, _ = _mutate_coefficients(y, b.row(k), pair, k)
+        y, _ = _mutate_coefficients(y, b.rows[k], pair, k)
         b = mutate_matrix(b, pair, k)
     return b, y
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import struct
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import add
@@ -186,10 +185,6 @@ class SemifieldElement:
         if coeff == 0:
             return GroupRingElement(self.semifield, {})
         return GroupRingElement(self.semifield, {self.exponents: int(coeff)})
-
-    def evaluate(self, point) -> Fraction:
-        """Evaluate at positive/nonzero rational generator values."""
-        return self.as_group_ring().evaluate(point)
 
     def __eq__(self, other):
         return (isinstance(other, SemifieldElement)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from gencluster import (AlgebraPair, ClusterPattern,
                         IncompatibleInitialDataError, TropicalSemifield,
-                        make_pair, transport, tree_paths, verify_d_equality,
+                        make_pair, tree_paths, verify_d_equality,
                         verify_identification)
 from gencluster.correspondence import _same_partition
 from gencluster.invariants import d_recurrence_step
@@ -79,11 +79,12 @@ def test_d_equality_detects_unrelated_patterns(a2):
 
 
 def test_transport(pair2):
-    lv, rv = transport(pair2, (0,), 0)
-    assert str(lv) == "x1^-1*x2^2 + w*x1^-1*x2 + x1^-1"
-    assert str(rv) == "x1^-1*x2^2 + x1^-1"
-    lv2, rv2 = transport(pair2, (0,), 1)
-    assert str(lv2) == "x2" and str(rv2) == "x2"
+    # the matched variables at each position of the seeds both patterns
+    # reach along one path
+    left, right = pair2.left.seed_at((0,)), pair2.right.seed_at((0,))
+    assert str(left.x[0]) == "x1^-1*x2^2 + w*x1^-1*x2 + x1^-1"
+    assert str(right.x[0]) == "x1^-1*x2^2 + x1^-1"
+    assert str(left.x[1]) == "x2" and str(right.x[1]) == "x2"
 
 
 def test_identification_rank2(pair2):

@@ -140,11 +140,12 @@ def _chain(n):
             for i in range(n)]
 
 
-def test_resume_after_vertex_cap_mutates_each_slot_once(monkeypatch):
+def test_resume_after_vertex_cap_mutates_again_the_slots_left_empty(
+        monkeypatch):
     # at the cap a slot is mutated only when its residue matches an
-    # interned variable, and then its seed is kept; a slot proven new is
-    # not mutated until the resume, so no (vertex, direction) slot is
-    # mutated twice across the capped walk and the resume
+    # interned variable, and a slot proven new is not mutated at all; a
+    # mutated slot whose seed is still new is left empty, and only such
+    # slots are mutated a second time, by the resume
     a4 = ClusterPattern.build(_chain(4))
     full = explore(a4, vertex_limit=1000)
     calls = []
@@ -155,12 +156,14 @@ def test_resume_after_vertex_cap_mutates_each_slot_once(monkeypatch):
 
     monkeypatch.setattr(graph_module, "mutate_seed", counting)
     part = explore(a4, vertex_limit=10)
+    capped = len(calls)
     resumed = explore(a4, depth_limit=40, vertex_limit=1000, resume=part)
     vertex = {id(rec.reached): rec.index for rec in resumed.vertices}
     slots = [(vertex[id(seed)], k) for seed, k in calls]
-    assert slots and len(set(slots)) == len(slots)
+    left_empty = {(v, k) for v, k in slots[:capped] if part.succ[v][k] is None}
+    assert len(left_empty) == 7
+    assert sorted(slots) == sorted([*set(slots), *left_empty])
     assert resumed.succ == full.succ
-    assert not resumed.pending and part.pending
 
 
 def _table_cases(gen3):
@@ -242,7 +245,6 @@ def test_capped_explore_mutates_no_slot_proven_new(monkeypatch):
     calls.clear()
     graph = explore(ClusterPattern.build(MARKOV), vertex_limit=30)
     assert len(calls) == 29 == graph.vertex_count() - 1
-    assert not graph.pending
 
 
 def test_a_zero_residue_takes_the_full_mutation(monkeypatch):
@@ -286,7 +288,7 @@ def test_every_residue_is_its_variables_value(gen3):
 
 def _assert_empty_slots_are_new(graph):
     """A fresh mutation at every empty slot gives a seed that no stored
-    vertex holds, and a kept seed is that mutation."""
+    vertex holds."""
     pair = graph.pattern.pair
     for v, row in enumerate(graph.succ):
         rec = graph.vertices[v]
@@ -296,8 +298,6 @@ def _assert_empty_slots_are_new(graph):
             if vid is not None:
                 ids = rec.ids[:k] + (vid,) + rec.ids[k + 1:]
                 assert _dedup_key(fresh, ids) not in graph.key_to_index
-            kept = graph.pending.get((v, k))
-            assert kept is None or kept == fresh
 
 
 def test_every_slot_left_empty_at_a_cap_is_new():
@@ -324,7 +324,15 @@ def test_resume_from_every_cap_matches_one_shot():
         assert [rec.path for rec in resumed.vertices] == [
             rec.path for rec in full.vertices]
         assert resumed.residues == full.residues
-        assert not resumed.pending
+    # the infinite types resumed from their capped walks
+    for rows, cap in (([[0, 2], [-2, 0]], 26), (MARKOV, 30)):
+        pattern = ClusterPattern.build(rows)
+        resumed = explore(pattern, vertex_limit=40,
+                          resume=explore(pattern, vertex_limit=cap))
+        full = explore(pattern, vertex_limit=40)
+        assert resumed.succ == full.succ
+        assert resumed.key_to_index == full.key_to_index
+        assert resumed.residues == full.residues
 
 
 def test_explore_renders_each_new_variable_once(monkeypatch):
@@ -589,6 +597,23 @@ def test_compatible_sets_needs_complete_graph(gen2):
         verify_compatible_sets(t)
 
 
+def test_connectivity_needs_complete_graph():
+    # inside the depth-3 ball of the affine type A2~, 4 faces are cut;
+    # a face may join outside the ball, so that is no counterexample to
+    # theorem (i), and the checks give no verdict on a truncated graph
+    t = explore(ClusterPattern.build([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]),
+                depth_limit=3)
+    assert t.vertex_count() == 16 and not t.complete
+    index = graph_module._Membership(t)
+    faces = {frozenset(sub) for row in index.var_at
+             for r in range(4) for sub in itertools.combinations(row, r)}
+    assert sum(not index.connected(index.held(J)) for J in faces) == 4
+    with pytest.raises(ValueError):
+        verify_all_connected_subgraphs(t)
+    with pytest.raises(ValueError):
+        verify_connected_subgraph(t, ["x1"])
+
+
 def _subset_scan(graph):
     """The compatible-set check as a scan of every subset of the
     variables with a pairwise test on each: a reference for graphs of at
@@ -823,8 +848,8 @@ def test_report_status_strings(a2_graph, gen2):
     rep = verify_connected_subgraph(a2_graph, ["x1"])
     assert rep.status == "pass"
     truncated = explore(gen2, depth_limit=1)
-    rep = verify_connected_subgraph(truncated, ["x1"])
-    assert rep.status in ("no-counterexample-within-horizon", "fail")
+    with pytest.raises(ValueError):
+        verify_connected_subgraph(truncated, ["x1"])
     blob = rep.to_json_dict()
     assert blob["check"] == "connected-subgraph"
     json.dumps(blob)

@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+package exports exactly the public names it imports.
 
 The check parses each module of ``src/gencluster`` with the standard
 ``ast`` module.  ``__init__.py`` is left out: it imports names to
-re-export them.
+re-export them, and ``__all__`` must list each of those once.
 """
 
 import ast
@@ -36,3 +37,15 @@ def test_module_uses_every_import(path):
 def test_an_unused_import_is_reported():
     source = "import heapq\nfrom operator import add, sub as minus\nadd(1, 2)\n"
     assert unused_imports(source) == ["heapq", "minus"]
+
+
+def test_all_lists_every_reexported_name_once():
+    import gencluster
+    names = gencluster.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(gencluster, n)] == []
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert set(names) == {n for n in imported if not n.startswith("_")}

@@ -40,7 +40,7 @@ def check_random_path(seed):
     pattern = random_pattern(rng, rng.randint(2, 3), max_degree=2,
                              max_entry=1, max_scale=2)
     b, r = pattern.b0, pattern.pair.degrees
-    g = min(b.entry(i, j) * b.entry(j, i) * r[i] * r[j]
+    g = min(b.rows[i][j] * b.rows[j][i] * r[i] * r[j]
             for i in range(pattern.n) for j in range(pattern.n))
     cap = 4 if g > -4 else 3
     path = tuple(rng.randrange(pattern.n) for _ in range(rng.randint(0, cap)))

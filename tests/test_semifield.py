@@ -64,7 +64,8 @@ def test_inverse_and_pow(a):
 def test_evaluate_is_multiplicative(a, b, pu, pv):
     point = (pu, pv)
     x, y = elem(a), elem(b)
-    assert (x * y).evaluate(point) == x.evaluate(point) * y.evaluate(point)
+    assert (x * y).as_group_ring().evaluate(point) == (
+        x.as_group_ring().evaluate(point) * y.as_group_ring().evaluate(point))
 
 
 # group ring

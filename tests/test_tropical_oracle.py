@@ -83,8 +83,8 @@ def test_coefficient_mutation_matches_the_oracle(seed, n, path):
     pair = pattern.pair
     b, y = pattern.b0, pattern.y0
     for k in (d % n for d in path):
-        got, trop = _mutate_coefficients(y, b.row(k), pair, k)
-        want, want_trop = oracle_mutate_coefficients(y, b.row(k), pair, k)
+        got, trop = _mutate_coefficients(y, b.rows[k], pair, k)
+        want, want_trop = oracle_mutate_coefficients(y, b.rows[k], pair, k)
         assert got == want
         assert trop == want_trop.exponents
         y, b = got, mutate_matrix(b, pair, k)
