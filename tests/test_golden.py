@@ -37,6 +37,12 @@ GEN2_COEFF = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1],
               "semifield": ["u", "v"], "y": ["u", "v^-1"],
               "z": {"1": ["u*v"]}}
 PRIN_GEN2 = {"b": [[0, 1], [-1, 0]], "degrees": [2, 1], "principal": True}
+# B3 through degrees with tropical y and one z, as the ``gen3`` fixture
+GEN3 = {"b": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "degrees": [2, 1, 1],
+        "semifield": ["u", "v"], "y": ["u", "1", "v^-1"],
+        "z": {"1": ["u*v"]}}
+A7 = {"b": [[1 if j == i + 1 else -1 if j == i - 1 else 0 for j in range(7)]
+            for i in range(7)]}
 # type D5: 25 variables, past what a scan of every subset can reach
 D5 = {"b": [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 1],
             [0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]}
@@ -74,6 +80,16 @@ CASES = {
                                        "--depth", "12"]),
     "verify_d5_compatible.json": (D5, ["verify", "compatible-sets",
                                        "--max-vertices", "1000"]),
+    "verify_gen3_separation.json": (GEN3, ["verify", "separation",
+                                           "--depth", "12"]),
+    "verify_a7_cluster_formula.json": (A7, ["verify", "cluster-formula",
+                                            "--path", "1,2,3,4,5,6,7",
+                                            "--trials", "10"]),
+    "verify_a7_cluster_formula_rebased.json": (
+        A7, ["verify", "cluster-formula", "--path", "1,2,3",
+             "--t0-path", "2,4", "--trials", "5"]),
+    "verify_gen2_cg_duality.json": (GEN2, ["verify", "cg-duality",
+                                           "--depth", "8"]),
     "verify_pair_d_equality.json": (PAIR2, ["verify", "d-equality",
                                             "--horizon", "5"]),
     "verify_pair_bijection.json": (PAIR2, ["verify", "bijection",
