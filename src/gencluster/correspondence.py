@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import matrices as mat
 from .errors import IncompatibleInitialDataError
 from .graph import VerificationReport, explore
-from .invariants import d_recurrence_step
+from .invariants import d_step_apply, d_step_weights
 from .seeds import ClusterPattern, mutate_matrix
 
 
@@ -73,13 +73,22 @@ def tree_paths(n: int, horizon: int):
 
 def verify_d_equality(pair: AlgebraPair, horizon: int) -> VerificationReport:
     """Denominator matrices of the two patterns agree along every path
-    of ``tree_paths(n, horizon)``."""
+    of ``tree_paths(n, horizon)``.  Each tree edge applies one recurrence
+    step per side; the weights and the mutated matrix of each (side,
+    exchange matrix, direction) are built once per call."""
     sides = (pair.left, pair.right)
+    moves = {}   # (side, B.rows, k) -> (weights, mutate_matrix(B, k))
 
     def step(state, k):
-        return tuple((d_recurrence_step(d, b, side.pair.degrees, k),
-                      mutate_matrix(b, side.pair, k))
-                     for (d, b), side in zip(state, sides))
+        out = []
+        for s, ((d, b), side) in enumerate(zip(state, sides)):
+            key = (s, b.rows, k)
+            if key not in moves:
+                moves[key] = (d_step_weights(b, side.pair.degrees, k),
+                              mutate_matrix(b, side.pair, k))
+            (pos, neg), b_new = moves[key]
+            out.append((d[:k] + (d_step_apply(d, k, pos, neg),) + d[k + 1:], b_new))
+        return tuple(out)
 
     root = tuple((mat.identity(pair.n, -1), side.b0) for side in sides)
     walked = _fold_tree(pair.n, horizon, root, step)

@@ -444,7 +444,11 @@ def verify_all_connected_subgraphs(graph: ExchangeGraph) -> VerificationReport:
 
 
 def compatibility(graph: ExchangeGraph, a, b) -> bool:
-    """True when the two variables occur together in some cluster."""
+    """True when the two variables occur together in some cluster.
+    Requires a completed exploration: a pair apart inside a ball may
+    share a cluster outside it."""
+    if not graph.complete:
+        raise ValueError("compatibility needs a completed exploration")
     names = list(map(str, graph.var_ids))
     return bool(_Membership(graph).held(_ids_named(names, [a, b])))
 

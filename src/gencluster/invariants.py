@@ -126,6 +126,7 @@ class PrincipalPattern(ClusterPattern):
         super().__init__(b0, pair, y0)
         self.z_slot = z_slot
         self.n_y = n
+        self._separation = {}   # path -> seed, C, G, F terms (separation)
 
     def split_exponents(self, exps):
         """Split a semifield exponent tuple into (y part, z part)."""
@@ -261,9 +262,12 @@ def separation_reconstruct(general: ClusterPattern, principal: PrincipalPattern,
     coefficients and interior z-values, and |_F substitutes
     yhat_j = y_j prod_i x_i^{b_{ij}} into the F-polynomial.  C is read
     from the principal seed's coefficients; G and F are computed for
-    every variable, so a defect in any of them raises.  Values in P are
-    exponent vectors: a term u^e of an F-polynomial is worth
-    sum_g e_g v_g, for v_g the vector of generator g's value, and
+    every variable, so a defect in any of them raises.  The principal
+    seed (shared with ``seed_at``), C, G and the F terms at ``path``
+    depend on ``principal`` alone and are built once per path and kept
+    on it for its life; the values in P are computed on every call.
+    Values in P are exponent vectors: a term u^e of an F-polynomial is
+    worth sum_g e_g v_g, for v_g the vector of generator g's value, and
     tropical addition is the componentwise minimum (the coefficients
     must be positive).  x_{i;t} is built from one term dict.
     Returns the pair (coefficient, cluster variable).
@@ -275,19 +279,23 @@ def separation_reconstruct(general: ClusterPattern, principal: PrincipalPattern,
     n = general.n
     P = general.semifield
 
-    seed_pr = principal.seed_at(tuple(path))
-    C = _c_columns(principal, seed_pr.y)
-    G = g_matrix(principal, seed_pr)
+    path = tuple(path)
+    if path not in principal._separation:
+        seed_pr = principal.seed_at(path)
+        C, G = _c_columns(principal, seed_pr.y), g_matrix(principal, seed_pr)
+        terms_of = [f.terms() for f in f_polynomials(principal, seed_pr)]
+        for terms in terms_of:
+            for _, c in terms:
+                if c <= 0:
+                    raise EvaluationError(
+                        "tropical evaluation needs positive coefficients, got %d" % c)
+            if not terms:
+                raise ValueError("cannot tropically evaluate the zero polynomial")
+        principal._separation[path] = (seed_pr, C, G, terms_of)
+    seed_pr, C, G, terms_of = principal._separation[path]
     value_cols = list(zip(*(v.exponents for v in _general_values(general, principal))))
     f_terms, f_trop = [], []   # per F: (terms, their vectors in P), its value
-    for f in f_polynomials(principal, seed_pr):
-        terms = f.terms()
-        for _, c in terms:
-            if c <= 0:
-                raise EvaluationError(
-                    "tropical evaluation needs positive coefficients, got %d" % c)
-        if not terms:
-            raise ValueError("cannot tropically evaluate the zero polynomial")
+    for terms in terms_of:
         vecs = [tuple(sum(map(mul, e, col)) for col in value_cols) for e, _ in terms]
         f_terms.append((terms, vecs))
         f_trop.append(tuple(map(min, zip(*vecs))))

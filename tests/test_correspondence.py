@@ -7,7 +7,8 @@ from gencluster import (AlgebraPair, ClusterPattern,
                         make_pair, tree_paths, verify_d_equality,
                         verify_identification)
 from gencluster.correspondence import _same_partition
-from gencluster.invariants import d_recurrence_step
+from gencluster.invariants import d_step_apply
+from gencluster.seeds import mutate_matrix
 
 
 @pytest.fixture(scope="module")
@@ -60,15 +61,31 @@ def test_d_equality_one_recurrence_step_per_tree_edge(pair2, monkeypatch):
     import gencluster.correspondence as corr
     calls = []
 
-    def counting(cols, b, degrees, k):
-        calls.append(degrees)
-        return d_recurrence_step(cols, b, degrees, k)
+    def counting(cols, k, pos, neg):
+        calls.append(k)
+        return d_step_apply(cols, k, pos, neg)
 
-    monkeypatch.setattr(corr, "d_recurrence_step", counting)
+    monkeypatch.setattr(corr, "d_step_apply", counting)
     rep = verify_d_equality(pair2, 6)
     edges = len(tree_paths(2, 6)) - 1
     assert rep.passed and len(calls) == 2 * edges
-    assert calls.count(pair2.left.pair.degrees) == edges
+
+
+def test_d_equality_mutates_each_matrix_once(monkeypatch):
+    # B3 through degrees (2,1,1) and its companion: 2 x 10 exchange
+    # matrices, 3 directions each, against 762 mutations along the tree
+    import gencluster.correspondence as corr
+    calls = []
+
+    def counting(b, pair, k):
+        calls.append((pair.degrees, b.rows, k))
+        return mutate_matrix(b, pair, k)
+
+    monkeypatch.setattr(corr, "mutate_matrix", counting)
+    b3 = ClusterPattern.build([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], degrees=(2, 1, 1))
+    rep = verify_d_equality(make_pair(b3), 7)
+    assert rep.passed and rep.checked == len(tree_paths(3, 7))
+    assert len(calls) == len(set(calls)) == 60
 
 
 def test_d_equality_detects_unrelated_patterns(a2):

@@ -477,6 +477,19 @@ def test_compatibility(a2_graph, a2):
     assert not compatibility(a2_graph, x1, x1p)
 
 
+def test_compatibility_needs_complete_graph(a3, a3_graph):
+    # inside the depth-1 ball of A3 no cluster holds this pair, but the
+    # complete graph has one that does
+    pair = ["x1^-1*x2 + x1^-1", "x2*x3^-1 + x3^-1"]
+    t = explore(a3, depth_limit=1)
+    assert t.vertex_count() == 4 and len(t.var_ids) == 6 and not t.complete
+    names = list(map(str, t.var_ids))
+    assert not graph_module._Membership(t).held(graph_module._ids_named(names, pair))
+    assert compatibility(a3_graph, *pair)
+    with pytest.raises(ValueError):
+        compatibility(t, *pair)
+
+
 def test_trichotomy(a2_graph, gen2_graph, a3_graph, gen3_graph):
     for graph in (a2_graph, gen2_graph, a3_graph, gen3_graph):
         rep = verify_dvector_trichotomy(graph)

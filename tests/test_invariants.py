@@ -11,6 +11,7 @@ from gencluster import (DimensionError, LaurentPolynomial, NotHomogeneousError,
                         f_polynomial, f_polynomials, g_matrix, g_vector,
                         principal_companion, principal_pattern)
 from gencluster.invariants import d_recurrence_step
+from gencluster.seeds import mutate_seed
 from test_seeds import random_pattern
 
 
@@ -203,3 +204,45 @@ def test_separation_on_the_complete_gen3_graph(gen3, gen3_graph):
     # rank 3 with tropical y and an interior coefficient: all 60 values
     assert gen3_graph.complete and gen3_graph.vertex_count() == 20
     _check_separation(gen3, [rec.path for rec in gen3_graph.vertices])
+
+
+def test_separation_sweep_mutates_once_per_principal_seed(gen3, gen3_graph,
+                                                          monkeypatch):
+    # 20 seeds, the initial one free: each BFS path extends one asked before
+    import gencluster.seeds as seeds_module
+    from gencluster import separation_reconstruct
+    calls = []
+
+    def counting(seed, pair, k):
+        calls.append(k)
+        return mutate_seed(seed, pair, k)
+
+    monkeypatch.setattr(seeds_module, "mutate_seed", counting)
+    principal = principal_companion(gen3)
+    for rec in gen3_graph.vertices:
+        for i in range(gen3.n):
+            y_rec, x_rec = separation_reconstruct(gen3, principal, rec.path, i)
+            assert y_rec == rec.reached.y[i] and x_rec == rec.reached.x[i]
+    assert len(calls) == 19
+
+
+@pytest.mark.parametrize("name", ["g_vector", "f_polynomial"])
+def test_separation_builds_every_variable(gen2_coeff, monkeypatch, name):
+    # a defect in variable 1 raises when only variable 0 is asked for
+    import gencluster.invariants as inv
+    from gencluster import separation_reconstruct
+    principal, path = principal_companion(gen2_coeff), (0, 1)
+    bad = principal.seed_at(path).x[1]
+    real = getattr(inv, name)
+
+    def failing(p, var):
+        if var == bad:
+            raise NotHomogeneousError("planted defect")
+        return real(p, var)
+
+    monkeypatch.setattr(inv, name, failing)
+    with pytest.raises(NotHomogeneousError):
+        separation_reconstruct(gen2_coeff, principal, path, 0)
+    monkeypatch.undo()
+    y_rec, x_rec = separation_reconstruct(gen2_coeff, principal, path, 0)
+    assert x_rec == gen2_coeff.seed_at(path).x[0]
