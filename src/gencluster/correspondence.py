@@ -87,7 +87,7 @@ def verify_d_equality(pair: AlgebraPair, horizon: int) -> VerificationReport:
                 moves[key] = (d_step_weights(b, side.pair.degrees, k),
                               mutate_matrix(b, side.pair, k))
             (pos, neg), b_new = moves[key]
-            out.append((d[:k] + (d_step_apply(d, k, pos, neg),) + d[k + 1:], b_new))
+            out.append((d_step_apply(d, k, pos, neg), b_new))
         return tuple(out)
 
     root = tuple((mat.identity(pair.n, -1), side.b0) for side in sides)

@@ -477,8 +477,7 @@ def _d_matrices_from(graph: ExchangeGraph, base: int, steps):
         cols = D[u]
         for w, k, pos, neg, relabel in steps[u]:
             if D[w] is None:
-                D[w] = relabel(cols[:k] + (d_step_apply(cols, k, pos, neg),)
-                               + cols[k + 1:])
+                D[w] = relabel(d_step_apply(cols, k, pos, neg))
                 order.append(w)
     return D
 

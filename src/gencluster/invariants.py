@@ -27,7 +27,7 @@ from .errors import (DimensionError, EvaluationError,
                      NotHomogeneousError)
 from .laurent import GroupRingElement, LaurentPolynomial
 from .seeds import (ClusterPattern, ExchangeMatrix, MutationPair, Seed,
-                    coefficient_walk, mutate_matrix)
+                    apply_path, coefficient_walk, mutate_matrix)
 from .semifield import TropicalSemifield
 
 
@@ -46,8 +46,9 @@ def d_step_weights(b: ExchangeMatrix, degrees, k):
 
 
 def d_step_apply(cols, k, pos, neg):
-    """The new k-th column of the recurrence step with weights
-    ``(pos, neg)`` from ``d_step_weights``:
+    """The columns after the recurrence step in direction k with weights
+    ``(pos, neg)`` from ``d_step_weights``: every column but the k-th is
+    kept, and the k-th becomes
 
         d_k' = -d_k + max(sum_{(l, w) in pos} d_l w, sum_{(l, w) in neg} d_l w)
 
@@ -58,19 +59,17 @@ def d_step_apply(cols, k, pos, neg):
         p = map(add, p, cols[l] if w == 1 else map(mul, cols[l], repeat(w)))
     for l, w in neg:
         q = map(add, q, cols[l] if w == 1 else map(mul, cols[l], repeat(w)))
-    return tuple(map(sub, map(max, p, q), cols[k]))
+    return cols[:k] + (tuple(map(sub, map(max, p, q), cols[k])),) + cols[k + 1:]
 
 
 def d_recurrence_step(cols, b: ExchangeMatrix, degrees, k):
     """One step of the denominator recurrence: mutate in direction k.
 
     ``cols`` are the D-matrix columns at a seed with exchange matrix
-    ``b``.  Every column but the k-th is kept; the k-th becomes
-    ``d_step_apply`` of the weights ``d_step_weights(b, degrees, k)``.
-    Returns the new column tuple.
+    ``b``.  Returns ``d_step_apply`` with the weights
+    ``d_step_weights(b, degrees, k)``: the new column tuple.
     """
-    pos, neg = d_step_weights(b, degrees, k)
-    return cols[:k] + (d_step_apply(cols, k, pos, neg),) + cols[k + 1:]
+    return d_step_apply(cols, k, *d_step_weights(b, degrees, k))
 
 
 def d_matrix_by_recurrence(pattern: ClusterPattern, path):
@@ -263,9 +262,10 @@ def separation_reconstruct(general: ClusterPattern, principal: PrincipalPattern,
     yhat_j = y_j prod_i x_i^{b_{ij}} into the F-polynomial.  C is read
     from the principal seed's coefficients; G and F are computed for
     every variable, so a defect in any of them raises.  The principal
-    seed (shared with ``seed_at``), C, G and the F terms at ``path``
-    depend on ``principal`` alone and are built once per path and kept
-    on it for its life; the values in P are computed on every call.
+    seed, C, G and the F terms at ``path`` depend on ``principal``
+    alone: they are built once per path and kept on ``principal`` for
+    as long as it lives, and the seed is reached from the longest prefix
+    of ``path`` kept there.  The values in P are computed on every call.
     Values in P are exponent vectors: a term u^e of an F-polynomial is
     worth sum_g e_g v_g, for v_g the vector of generator g's value, and
     tropical addition is the componentwise minimum (the coefficients
@@ -279,9 +279,13 @@ def separation_reconstruct(general: ClusterPattern, principal: PrincipalPattern,
     n = general.n
     P = general.semifield
 
-    path = tuple(path)
-    if path not in principal._separation:
-        seed_pr = principal.seed_at(path)
+    path, records = tuple(path), principal._separation
+    if path not in records:
+        cut = len(path)
+        while cut and path[:cut] not in records:
+            cut -= 1
+        start = records[path[:cut]][0] if cut else principal.initial_seed()
+        seed_pr = apply_path(start, principal.pair, path[cut:])
         C, G = _c_columns(principal, seed_pr.y), g_matrix(principal, seed_pr)
         terms_of = [f.terms() for f in f_polynomials(principal, seed_pr)]
         for terms in terms_of:
@@ -291,8 +295,8 @@ def separation_reconstruct(general: ClusterPattern, principal: PrincipalPattern,
                         "tropical evaluation needs positive coefficients, got %d" % c)
             if not terms:
                 raise ValueError("cannot tropically evaluate the zero polynomial")
-        principal._separation[path] = (seed_pr, C, G, terms_of)
-    seed_pr, C, G, terms_of = principal._separation[path]
+        records[path] = (seed_pr, C, G, terms_of)
+    seed_pr, C, G, terms_of = records[path]
     value_cols = list(zip(*(v.exponents for v in _general_values(general, principal))))
     f_terms, f_trop = [], []   # per F: (terms, their vectors in P), its value
     for terms in terms_of:

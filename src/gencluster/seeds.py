@@ -398,10 +398,7 @@ class ClusterPattern:
 
     The initial cluster consists of the free generators x1 ... xn, so
     every seed reached by ``seed_at`` carries its cluster expanded over
-    the initial one.  ``seed_at`` keeps every seed it reaches, keyed by
-    its path, for the life of the pattern: a path whose parent was asked
-    for before costs one ``mutate_seed``.  Seeds are immutable, and the
-    kept ones are returned shared.
+    the initial one.
     """
 
     def __init__(self, b0: ExchangeMatrix, pair: MutationPair, y0):
@@ -419,7 +416,6 @@ class ClusterPattern:
         self.semifield = pair.semifield
         self.n = b0.n
         self._rb_symmetrizer = None
-        self._seeds = {(): self.initial_seed()}
 
     @classmethod
     def build(cls, rows, degrees=None, semifield=None, y0=None, frozen=None):
@@ -440,13 +436,7 @@ class ClusterPattern:
         return Seed(self.b0, xs, self.y0)
 
     def seed_at(self, path) -> Seed:
-        path, seeds = tuple(path), self._seeds
-        cut = len(path)
-        while path[:cut] not in seeds:
-            cut -= 1
-        for end in range(cut, len(path)):
-            seeds[path[:end + 1]] = mutate_seed(seeds[path[:end]], self.pair, path[end])
-        return seeds[path]
+        return apply_path(self.initial_seed(), self.pair, path)
 
     def rebase(self, path) -> "ClusterPattern":
         """The same pattern rooted at the seed reached by ``path``.

@@ -226,6 +226,27 @@ def test_separation_sweep_mutates_once_per_principal_seed(gen3, gen3_graph,
     assert len(calls) == 19
 
 
+@given(st.integers(0, 10 ** 6))
+def test_separation_records_hold_the_seed_at_their_path(gen2_coeff, gen3, seed):
+    # fresh principal patterns; a record's seed is built from the longest
+    # prefix kept, and asking again for a path reuses its record
+    from gencluster import separation_reconstruct
+    rng = random.Random(seed)
+    for general in (gen2_coeff, gen3):
+        principal = principal_companion(general)
+        paths = [tuple(rng.randrange(general.n) for _ in range(rng.randint(0, 4)))
+                 for _ in range(3)]
+        paths.append(paths[0] + paths[1])
+        for path in paths:
+            separation_reconstruct(general, principal, path, 0)
+            assert principal._separation[path][0] == principal.seed_at(path)
+        kept = dict(principal._separation)
+        for path in paths:
+            separation_reconstruct(general, principal, list(path), general.n - 1)
+            assert principal._separation[path] is kept[path]
+        assert len(principal._separation) == len(kept)
+
+
 @pytest.mark.parametrize("name", ["g_vector", "f_polynomial"])
 def test_separation_builds_every_variable(gen2_coeff, monkeypatch, name):
     # a defect in variable 1 raises when only variable 0 is asked for

@@ -220,20 +220,6 @@ def test_apply_path_matches_stepwise(gen2):
     assert apply_path(gen2.initial_seed(), gen2.pair, path).x == s.x
 
 
-@given(st.integers(0, 10 ** 6))
-def test_seed_at_matches_apply_path(a3, gen2, gen3, seed):
-    # fresh patterns, so every memo starts from the initial seed alone
-    rng = random.Random(seed)
-    for p in (ClusterPattern(a3.b0, a3.pair, a3.y0),
-              ClusterPattern(gen2.b0, gen2.pair, gen2.y0),
-              principal_pattern(gen3.b0, gen3.pair.degrees)):
-        paths = [tuple(rng.randrange(p.n) for _ in range(rng.randint(0, 5)))
-                 for _ in range(4)]
-        for path in paths + paths[:2]:
-            assert p.seed_at(path) == apply_path(p.initial_seed(), p.pair, path)
-            assert p.seed_at(list(path)) is p.seed_at(path)
-
-
 def test_coefficient_walk_matches_full_mutation(gen2_coeff):
     path = (0, 1, 0, 1, 0)
     b, y = coefficient_walk(gen2_coeff, path)
